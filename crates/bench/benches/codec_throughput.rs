@@ -3,32 +3,36 @@
 //! trajectory: `BENCH_codec.json` (decode side) and `BENCH_encode.json`
 //! (compress side).
 //!
-//! `BENCH_codec.json` compares four decode implementations on identical
+//! `BENCH_codec.json` compares the decode implementations on identical
 //! inputs:
 //!
-//! * `seq` — the sequential reference (`decode_group`),
+//! * `seq` — the production decoder (`decode_group`, the fused
+//!   sequential walk),
 //! * `seed_port` — the seed's speculative decoder (Vec-per-path,
 //!   clone-per-merge), preserved in `ecco_hw::paradec::seed_port`,
-//! * `lut` — PR 1's table-driven zero-allocation decoder,
-//! * `pipeline` — the rayon multi-block pipeline over the LUT decoder,
+//! * `lut` — the hardware oracle's table-driven symbol walk
+//!   (`ParallelDecoder::decode_into`) and its full-block frame
+//!   (`decode_block_parallel`),
+//! * `pipeline` — core's pooled multi-block pipeline
+//!   (`decode_groups_parallel`),
 //!
-//! plus a `window_extract` section isolating the decoder's 64×8 window
+//! plus a `window_extract` section isolating the oracle's 64×8 window
 //! front end on weight and K-cache blocks: scalar-per-probe
 //! (`windows8_per_probe`) vs batched-portable (`windows8_portable`) vs
 //! the host SIMD tier (the dispatched `windows8` hot path with the
 //! tier pinned; `null` when unsupported), plus the block-at-a-time
-//! `windows_all` fill the fused decoder front-ends with (all 64
-//! segments per call), a `decode_to_values` section comparing the
-//! fused decode-to-values walk (`decode_block_parallel_into`) against
-//! the retired two-pass decoder (`decode_block_parallel_two_pass`) on
-//! weight and K-cache blocks, a `pool_spawn` section
-//! measuring spawn amortization on small tensors (per-call scoped-thread
-//! sharding — the pre-pool scheduler, reimplemented as the baseline —
-//! vs the persistent pool's fast path and its forced queue dispatch),
-//! a `batch_decode` section comparing a per-tensor pooled loop with
-//! one batched `decode_tensors_batch` submission, and a `container_load`
-//! section timing ECCF model cold starts: full-model vs 25%-of-layers
-//! partial loads through the mmap reader and the pread fallback.
+//! `windows_all` fill the oracle front-ends with (all 64 segments per
+//! call), a `decode_to_values` section comparing the production fused
+//! walk (`decode_group_into`) against the pinned two-pass reference
+//! (`decode_group_two_pass`) on weight and K-cache blocks, a
+//! `pool_spawn` section measuring spawn amortization on small tensors
+//! (per-call scoped-thread sharding — the pre-pool scheduler,
+//! reimplemented as the baseline — vs the persistent pool's fast path
+//! and its forced queue dispatch), a `batch_decode` section comparing a
+//! per-tensor pooled loop with one batched `decode_tensors_batch_with`
+//! submission, and a `container_load` section timing ECCF model cold
+//! starts: full-model vs 25%-of-layers partial loads through the mmap
+//! reader and the pread fallback.
 //!
 //! `BENCH_encode.json` covers the compress-side hot path:
 //!
@@ -47,17 +51,18 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ecco_bits::{
     set_window_dispatch, window_dispatch, Block64, BlockCursor, WindowDispatch, WINDOW_SEGMENTS,
 };
-use ecco_core::parallel::encode_groups_parallel_unchecked;
+use ecco_core::parallel::{decode_tensors_batch_with, encode_groups_parallel_unchecked};
 use ecco_core::{
-    decode_group, encode_group, encode_group_scratch, normalize_group, select_pattern_ref,
-    EccoConfig, GroupScratch, NormalizedGroup, PatternSelector, TensorMetadata,
+    decode_group, decode_group_into, decode_group_two_pass, decode_groups_parallel, encode_group,
+    encode_group_scratch, normalize_group, select_pattern_ref, EccoConfig, GroupScratch,
+    NormalizedGroup, PatternSelector, TensorMetadata,
 };
 use ecco_tensor::Tensor;
 use std::hint::black_box;
 use std::time::Instant;
 
 use ecco_hw::paradec::seed_port;
-use ecco_hw::{decode_blocks_parallel, DecodeScratch, ParallelDecoder};
+use ecco_hw::{decode_block_parallel, ParallelDecoder};
 
 const GROUP: usize = 128;
 
@@ -103,7 +108,7 @@ fn bench(c: &mut Criterion) {
         })
     });
     g.bench_function("pipeline_decode_tensor", |b| {
-        b.iter(|| decode_blocks_parallel(black_box(&blocks), &meta).unwrap())
+        b.iter(|| decode_groups_parallel(black_box(&blocks), &meta).unwrap())
     });
     g.finish();
 
@@ -238,34 +243,26 @@ fn window_extract_section(blocks: &[Block64]) -> String {
     )
 }
 
-/// Whole-block decode-to-values timings over one block set: the retired
-/// two-pass decoder (symbol walk into a scratch, then a reconstruction
-/// sweep) vs the fused walk that gathers values through the per-block
-/// centroid×scale table as records merge. Mean ns per whole-set pass,
-/// each arm the best of three timed runs.
+/// Whole-block decode-to-values timings over one block set: the pinned
+/// two-pass reference (symbol walk into a buffer, then a reconstruction
+/// sweep) vs the production fused walk that gathers each value through
+/// the per-block centroid×scale table as its symbol resolves. Mean ns
+/// per whole-set pass, each arm the best of three timed runs.
 fn decode_to_values_ns(blocks: &[Block64], meta: &TensorMetadata) -> (f64, f64) {
     let best_of = |f: &mut dyn FnMut() -> f64| (0..3).map(|_| f()).fold(f64::INFINITY, f64::min);
-    let mut scratch = DecodeScratch::default();
-    let mut values = Vec::with_capacity(GROUP);
     let two_pass = best_of(&mut || {
         time_ns(|| {
             for blk in blocks {
-                ecco_hw::decode_block_parallel_two_pass(
-                    black_box(blk),
-                    meta,
-                    &mut scratch,
-                    &mut values,
-                )
-                .unwrap();
-                black_box(&values);
+                black_box(decode_group_two_pass(black_box(blk), meta).unwrap());
             }
         })
     });
+    let mut values = Vec::with_capacity(GROUP);
     let fused = best_of(&mut || {
         time_ns(|| {
             for blk in blocks {
                 values.clear();
-                ecco_hw::decode_block_parallel_into(black_box(blk), meta, &mut values).unwrap();
+                decode_group_into(black_box(blk), meta, &mut values).unwrap();
                 black_box(&values);
             }
         })
@@ -296,13 +293,13 @@ fn decode_to_values_section(blocks: &[Block64], meta: &TensorMetadata) -> String
 ///   scheduler the vendored rayon stub used before the persistent pool,
 ///   reimplemented here verbatim as the baseline. Every tensor pays two
 ///   thread spawns + joins.
-/// * `pooled` — `decode_blocks_parallel` on a persistent 2-executor
+/// * `pooled` — `decode_groups_parallel` on a persistent 2-executor
 ///   pool: tensors under the chunk threshold take the inline fast path
 ///   (no queue round-trip) — the spawn cost is amortized away entirely.
 /// * `dispatch` — same pool with the chunk size pinned to 1, forcing
 ///   every block through the injector queue: the cost of the wake-up
 ///   round-trip itself, for honesty about what the fast path saves.
-/// * `batch` — all tensors in ONE `decode_tensors_batch` submission.
+/// * `batch` — all tensors in ONE `decode_tensors_batch_with` submission.
 ///
 /// Returns mean ns per whole-set pass for (spawn, pooled, dispatch,
 /// batch), each the best of three timed runs.
@@ -327,7 +324,7 @@ fn pool_timings(
                                 for b in run {
                                     // The fused decoder appends, so the
                                     // shard buffer is the output.
-                                    ecco_hw::decode_block_parallel_into(b, meta, &mut out).unwrap();
+                                    decode_group_into(b, meta, &mut out).unwrap();
                                 }
                                 out
                             })
@@ -347,7 +344,7 @@ fn pool_timings(
         ecco_core::pool::with_pool(&pool, || {
             time_ns(|| {
                 for t in small {
-                    black_box(decode_blocks_parallel(black_box(t), meta).unwrap());
+                    black_box(decode_groups_parallel(black_box(t), meta).unwrap());
                 }
             })
         })
@@ -361,17 +358,19 @@ fn pool_timings(
         ecco_core::pool::with_pool(&queue_pool, || {
             time_ns(|| {
                 for t in small {
-                    black_box(decode_blocks_parallel(black_box(t), meta).unwrap());
+                    black_box(decode_groups_parallel(black_box(t), meta).unwrap());
                 }
             })
         })
     });
 
-    let batch_refs: Vec<(&[Block64], &TensorMetadata)> = small.iter().map(|t| (*t, meta)).collect();
     let batch = best_of(&mut || {
         ecco_core::pool::with_pool(&pool, || {
             time_ns(|| {
-                for r in ecco_hw::decode_tensors_batch(black_box(&batch_refs)) {
+                let results = decode_tensors_batch_with(black_box(small), GROUP, |_, b, out| {
+                    decode_group_into(b, meta, out).map(|_| ())
+                });
+                for r in results {
                     black_box(r.unwrap());
                 }
             })
@@ -384,10 +383,12 @@ fn pool_timings(
 /// Container cold-start timings: write a compressed multi-layer model
 /// to a temp ECCF file, then time full-model and 25%-of-layers partial
 /// loads through `Container::open` (mmap) and `Container::open_buffered`
-/// (pread fallback). Rates are decoded-f32 bytes per second — the number
-/// a serving cold start cares about — with each arm the best of three
-/// timed runs. A throwaway load warms the lazy decode tables so neither
-/// backend bills the one-time build.
+/// (pread fallback), against the same tensors decoded straight from
+/// memory by `WeightCodec::decompress_batch` (the kernel the load feeds).
+/// Rates are decoded-f32 bytes per second — the number a serving cold
+/// start cares about — with each arm the best of three timed runs. A
+/// throwaway load warms the lazy decode tables so no arm bills the
+/// one-time build.
 fn container_load_section() -> String {
     use ecco_container::{write_model, Container, ContainerError};
     use ecco_core::pool::{with_pool, PoolBuilder};
@@ -461,6 +462,15 @@ fn container_load_section() -> String {
         rates[bi] = [full_bytes / full_ns * 1e9, part_bytes / part_ns * 1e9];
     }
     std::fs::remove_file(&path).ok();
+    let cts: Vec<&CompressedTensor> = compressed.iter().collect();
+    let kernel_ns = best_of(&mut || {
+        with_pool(&pool, || {
+            time_ns(|| {
+                black_box(codec.decompress_batch(black_box(&cts)));
+            })
+        })
+    });
+    let kernel_rate = full_bytes / kernel_ns * 1e9;
 
     format!(
         "{{\n      \
@@ -472,7 +482,10 @@ fn container_load_section() -> String {
            \"mmap_partial_load_bytes_per_s\": {mp:.0},\n      \
            \"pread_full_load_bytes_per_s\": {pf:.0},\n      \
            \"pread_partial_load_bytes_per_s\": {pp:.0},\n      \
-           \"mmap_vs_pread_full_ratio\": {ratio:.2}\n    }}",
+           \"mmap_vs_pread_full_ratio\": {ratio:.2},\n      \
+           \"kernel_decompress_batch_bytes_per_s\": {kernel_rate:.0},\n      \
+           \"kernel_vs_mmap_full_load_ratio\": {cliff:.2},\n      \
+           \"notes\": \"loads decode through the codecs' batch body (decode_group_into), the same as the in-memory kernel arm; kernel_vs_mmap_full_load_ratio is the cold-start cost over the bare decode (it was ~70-80x while loads rode the hardware-model decoder and rebuilt a 256 KiB segment table per book per tensor)\"\n    }}",
         partial_layers = quarter.len(),
         decoded = full_bytes,
         mf = rates[0][0],
@@ -480,6 +493,7 @@ fn container_load_section() -> String {
         pf = rates[1][0],
         pp = rates[1][1],
         ratio = rates[0][0] / rates[1][0],
+        cliff = kernel_rate / rates[0][0],
     )
 }
 
@@ -535,25 +549,21 @@ fn write_bench_json(
         }
     });
 
-    // Full block reconstruction: sequential reference vs LUT model,
-    // single-threaded, then the rayon pipeline.
+    // Full block reconstruction: the production decoder vs the
+    // hardware oracle's instance of the same block frame, single-
+    // threaded, then core's pooled pipeline.
     let seq_ns = time_ns(|| {
         for blk in blocks {
             black_box(decode_group(black_box(blk), meta).unwrap());
         }
     });
-    let mut values = Vec::with_capacity(GROUP);
     let lut_block_ns = time_ns(|| {
         for blk in blocks {
-            values.clear();
-            ecco_hw::decode_block_parallel_into(black_box(blk), meta, &mut values).unwrap();
+            black_box(decode_block_parallel(black_box(blk), meta).unwrap());
         }
     });
-    let pipeline_hw_ns = time_ns(|| {
-        black_box(decode_blocks_parallel(black_box(blocks), meta).unwrap());
-    });
     let pipeline_ref_ns = time_ns(|| {
-        black_box(ecco_core::decode_groups_parallel(black_box(blocks), meta).unwrap());
+        black_box(decode_groups_parallel(black_box(blocks), meta).unwrap());
     });
 
     // Small-tensor scheduling: spawn-per-call vs the persistent pool.
@@ -592,13 +602,14 @@ fn write_bench_json(
            \"kcache\": {ksec}\n  }},\n  \
          \"decode_to_values\": {{\n    \
            \"weight\": {wdtv},\n    \
-           \"kcache\": {kdtv}\n  }},\n  \
+           \"kcache\": {kdtv},\n    \
+           \"notes\": \"production fused walk (decode_group_into) vs the pinned two-pass reference (decode_group_two_pass, which also allocates its symbol and value buffers per block), both the sequential LUT walk\"\n  }},\n  \
          \"block_decode\": {{\n    \
            \"sequential_reference_syms_per_s\": {seq:.0},\n    \
            \"lut_model_syms_per_s\": {lutb:.0},\n    \
            \"pipeline_reference_syms_per_s\": {piper:.0},\n    \
-           \"pipeline_hw_model_syms_per_s\": {pipeh:.0},\n    \
-           \"pipeline_vs_sequential_speedup\": {pipe_speedup:.2}\n  }},\n  \
+           \"pipeline_vs_sequential_speedup\": {pipe_speedup:.2},\n    \
+           \"notes\": \"sequential_reference is the production decoder (decode_group); lut_model is the hardware oracle decode_block_parallel, the same block frame over the 64x8 speculative walk, returning its symbol stream too; pipeline_reference is decode_groups_parallel, the only pooled decode pipeline (the hw-model pipeline is gone)\"\n  }},\n  \
          \"pool_spawn\": {{\n    \
            \"tensors\": {SMALL_TENSORS},\n    \
            \"blocks_per_tensor\": {SMALL_BLOCKS},\n    \
@@ -614,7 +625,7 @@ fn write_bench_json(
            \"per_tensor_pooled_tensors_per_s\": {pooled_tps:.0},\n    \
            \"batched_submission_tensors_per_s\": {batch_tps:.0},\n    \
            \"batched_vs_per_tensor_speedup\": {batch_speedup:.2},\n    \
-           \"notes\": \"the original 0.95x regression came from one queue claim per 4-block tensor: 128 claims each paid a queue wake-up, slot lock and fresh decode scratch; claim_ranges groups contiguous tensors into block-target-sized claims sharing one scratch, which brought batched submission to parity pre-fusion (0.98-1.01x). The fused decode-to-values walk then cut per-block decode time ~3x, so the one-submission fixed cost is proportionally visible again on the 1-core container (~0.85-0.9x); the batched win shows on real multi-core hosts where a single submission amortizes across workers\"\n  }},\n  \
+           \"notes\": \"both arms run the production decoder (decode_group_into). per_tensor_pooled is one decode_groups_parallel call per 4-block tensor, which runs inline on the caller; batched_submission is one decode_tensors_batch_with call for all 128 tensors, whose claim_ranges groups contiguous tensors into block-target-sized claims. The one-submission fixed cost (queue wake-up, per-chunk panic containment, per-tensor reassembly) is visible on a 1-2 core host; the batched win shows where a single submission amortizes across many workers\"\n  }},\n  \
          \"container_load\": {csec}\n}}\n",
         csec = container_load_section(),
         threads = rayon::current_num_threads(),
@@ -628,7 +639,6 @@ fn write_bench_json(
         seq = per_s(seq_ns),
         lutb = per_s(lut_block_ns),
         piper = per_s(pipeline_ref_ns),
-        pipeh = per_s(pipeline_hw_ns),
         pipe_speedup = seq_ns / pipeline_ref_ns,
         spawn_tps = tensors_per_s(spawn_ns),
         pooled_tps = tensors_per_s(pooled_ns),

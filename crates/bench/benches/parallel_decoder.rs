@@ -1,12 +1,14 @@
 //! Criterion micro-bench: the parallel-decoder functional model — LUT +
 //! zero-allocation rewrite vs the seed implementation vs the sequential
-//! reference decoder, plus the rayon multi-block pipeline.
+//! production decoder, plus core's pooled multi-block pipeline.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ecco_bits::Block64;
-use ecco_core::{decode_group, encode_group, EccoConfig, PatternSelector, TensorMetadata};
+use ecco_core::{
+    decode_group, decode_groups_parallel, encode_group, EccoConfig, PatternSelector, TensorMetadata,
+};
+use ecco_hw::decode_block_parallel;
 use ecco_hw::paradec::seed_port;
-use ecco_hw::{decode_block_parallel, decode_blocks_parallel};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -53,7 +55,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("multi_block");
     g.throughput(Throughput::Elements(128 * blocks.len() as u64));
     g.bench_function("pipeline_decode_512_blocks", |b| {
-        b.iter(|| decode_blocks_parallel(black_box(&blocks), &meta).unwrap())
+        b.iter(|| decode_groups_parallel(black_box(&blocks), &meta).unwrap())
     });
     g.bench_function("sequential_decode_512_blocks", |b| {
         b.iter(|| {

@@ -1,6 +1,6 @@
 //! ECCF reader: opens a container through a [`MapSource`], validates the
 //! tail directory against the actual byte image, and decodes selected
-//! tensors through the pooled batch decoder.
+//! tensors through the codecs' pooled batch body.
 //!
 //! The directory is untrusted. Everything it claims — offsets, lengths,
 //! block counts, decoded lengths, checksums — is cross-checked before a
@@ -392,14 +392,19 @@ impl Container {
     }
 
     /// Loads the named tensors through **one pooled batch decode pass**
-    /// ([`ecco_hw::decode_tensors_batch_report`]) — the partial-load
-    /// primitive: only the requested frames are read, CRC-checked and
-    /// decoded, in the caller's pool.
+    /// — the partial-load primitive: only the requested frames are read,
+    /// CRC-checked and decoded, in the caller's pool. Decoding is the
+    /// codecs' own batch body
+    /// ([`ecco_core::parallel::decompress_batch_report`]), so a slot's
+    /// outcome equals what [`WeightCodec::decompress_batch_report`]
+    /// returns for the same frame.
     ///
     /// Per-tensor read/CRC/revive failures land in that slot's
     /// [`BatchOutcome::Failed`] (dimensions zeroed) instead of aborting
     /// the batch; under [`RecoveryPolicy::SalvageBlocks`] block-level
     /// corruption inside a frame that passed its CRC salvages as usual.
+    ///
+    /// [`WeightCodec::decompress_batch_report`]: ecco_core::WeightCodec::decompress_batch_report
     ///
     /// # Errors
     ///
@@ -418,70 +423,35 @@ impl Container {
 
         // Read + CRC + revive every requested frame first; failures
         // become Failed slots and healthy tensors proceed to the pool.
-        let mut slots: Vec<Result<CompressedTensor, DecodeError>> = Vec::with_capacity(names.len());
-        for name in names {
-            slots.push(self.read_compressed(name).map_err(|e| {
-                match e {
+        let frames: Vec<Result<CompressedTensor, DecodeError>> = names
+            .iter()
+            .map(|name| {
+                self.read_compressed(name).map_err(|e| match e {
                     ContainerError::Decode(d) => d,
                     ContainerError::Io(_) => DecodeError::new(DecodeErrorKind::TruncatedStream)
                         .at_tensor(self.by_name[*name]),
                     ContainerError::UnknownTensor(_) => unreachable!("names pre-checked"),
-                }
-            }));
-        }
-
-        // Per-tensor metadata views (scales differ per frame) must
-        // outlive the borrowed batch.
-        let metas: Vec<Option<TensorMetadata>> = slots
-            .iter()
-            .map(|s| {
-                s.as_ref()
-                    .ok()
-                    .map(|ct| self.meta.with_scale(ct.tensor_scale()))
+                })
             })
             .collect();
-        let mut batch: Vec<(&[ecco_bits::Block64], &TensorMetadata)> = Vec::new();
-        let mut batch_slot: Vec<usize> = Vec::new();
-        for (i, slot) in slots.iter().enumerate() {
-            if let Ok(ct) = slot {
-                batch.push((ct.blocks(), metas[i].as_ref().expect("meta for ok slot")));
-                batch_slot.push(i);
-            }
-        }
-        let mut decoded: Vec<Option<BatchOutcome>> = if batch.is_empty() {
-            Vec::new()
-        } else {
-            ecco_hw::decode_tensors_batch_report(&batch, policy)
-                .into_iter()
-                .map(Some)
-                .collect()
-        };
+        let slots: Vec<Result<&CompressedTensor, DecodeError>> =
+            frames.iter().map(|f| f.as_ref().map_err(|e| *e)).collect();
+        let outcomes = ecco_core::parallel::decompress_batch_report(&self.meta, &slots, policy);
 
-        let mut out = Vec::with_capacity(names.len());
-        let mut next_batch = 0usize;
-        for (i, (name, slot)) in names.iter().zip(slots.iter()).enumerate() {
-            let loaded = match slot {
-                Ok(ct) => {
-                    debug_assert_eq!(batch_slot[next_batch], i);
-                    let outcome = decoded[next_batch].take().expect("one take per slot");
-                    next_batch += 1;
-                    LoadedTensor {
-                        name: (*name).to_string(),
-                        rows: ct.rows(),
-                        cols: ct.cols(),
-                        outcome,
-                    }
-                }
-                Err(e) => LoadedTensor {
+        Ok(names
+            .iter()
+            .zip(&frames)
+            .zip(outcomes)
+            .map(|((name, frame), outcome)| {
+                let (rows, cols) = frame.as_ref().map_or((0, 0), |ct| (ct.rows(), ct.cols()));
+                LoadedTensor {
                     name: (*name).to_string(),
-                    rows: 0,
-                    cols: 0,
-                    outcome: BatchOutcome::Failed(*e),
-                },
-            };
-            out.push(loaded);
-        }
-        Ok(out)
+                    rows,
+                    cols,
+                    outcome,
+                }
+            })
+            .collect())
     }
 
     /// Strict pooled load: every requested tensor must decode cleanly.
@@ -492,19 +462,13 @@ impl Container {
     /// located decode error) aborts the whole load.
     pub fn load(&self, names: &[&str]) -> Result<Vec<Tensor>, ContainerError> {
         let report = self.load_report(names, RecoveryPolicy::FailTensor)?;
-        let mut out = Vec::with_capacity(report.len());
-        for t in report {
-            match t.outcome {
-                BatchOutcome::Ok(values) => out.push(Tensor::from_vec(t.rows, t.cols, values)),
-                BatchOutcome::Salvaged { bad_blocks, .. } => {
-                    return Err(ContainerError::Decode(
-                        bad_blocks.into_iter().next().expect("salvage has errors"),
-                    ))
-                }
-                BatchOutcome::Failed(e) => return Err(ContainerError::Decode(e)),
-            }
-        }
-        Ok(out)
+        report
+            .into_iter()
+            .map(|t| {
+                let values = t.outcome.into_result()?;
+                Ok(Tensor::from_vec(t.rows, t.cols, values))
+            })
+            .collect()
     }
 
     /// Strict pooled load of every tensor, in directory order.

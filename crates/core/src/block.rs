@@ -15,7 +15,8 @@
 //! decoder cannot misread the truncated tail as a valid code, so the clip
 //! point is recovered without side information.
 
-use ecco_bits::{BitWriter, Block64, BLOCK_BITS};
+use ecco_bits::{BitReader, BitWriter, Block64, BLOCK_BITS};
+use ecco_entropy::Codebook;
 use ecco_numerics::F8E4M3;
 
 use crate::group::normalize_group;
@@ -411,11 +412,11 @@ const MAX_ID_HF_BITS: u32 = 16;
 /// [`crate::pattern::SYMBOL_COUNT`] symbols (the parallel-decode
 /// constraint of the paper); a revived book outside that envelope — or
 /// one whose serialized fields do not heal into a canonical code at all —
-/// is reported as [`DecodeErrorKind::CorruptCodebook`]. Both the
-/// sequential decoder and the hardware model apply this same predicate,
-/// so the two arms agree error-for-error on corrupt metadata instead of
-/// one panicking where the other zero-fills.
-pub fn validate_data_book(book: &ecco_entropy::Codebook) -> Result<(), DecodeError> {
+/// is reported as [`DecodeErrorKind::CorruptCodebook`]. The block frame
+/// ([`decode_group_with`]) applies it before any symbol walk runs, so the
+/// sequential decoder and the hardware model agree error-for-error on
+/// corrupt metadata instead of one panicking where the other zero-fills.
+pub fn validate_data_book(book: &Codebook) -> Result<(), DecodeError> {
     if !book.revival_coherent()
         || book.num_symbols() > crate::pattern::SYMBOL_COUNT
         || book.max_len() > 8
@@ -493,7 +494,7 @@ pub struct DecodedGroupInfo {
 ///
 /// `round_f16` is a pure function of `(centroid, scale)`, so gathering
 /// from this table is bit-identical to reconstructing each symbol
-/// inline — the fused decoders and the pinned two-pass baselines are
+/// inline — the fused block frame and the pinned two-pass reference are
 /// differentially tested on exactly this claim.
 #[derive(Clone, Copy, Debug)]
 pub struct BlockValueTable {
@@ -565,8 +566,10 @@ pub fn decode_group(
 /// gathered through a precomputed [`BlockValueTable`] as it is resolved,
 /// with no intermediate symbol buffer or second reconstruction pass.
 ///
-/// On error nothing is appended. Bit-identical to the pinned
-/// [`decode_group_two_pass`] baseline on every input.
+/// This is [`decode_group_with`] over the sequential LUT walk, and the
+/// decoder every production path runs. On error nothing is appended.
+/// Bit-identical to the pinned [`decode_group_two_pass`] baseline on
+/// every input.
 ///
 /// # Errors
 ///
@@ -577,32 +580,59 @@ pub fn decode_group_into(
     meta: &TensorMetadata,
     values: &mut Vec<f32>,
 ) -> Result<DecodedGroupInfo, DecodeError> {
+    // A clipped tail terminates decoding (prefix-freeness makes the
+    // truncation point unambiguous). The decode-table view is fetched
+    // once per block, not per symbol.
+    let (info, ()) = decode_group_with(block, meta, values, |book, r, max, table, out| {
+        let base = out.len();
+        let dec = book.symbol_decoder();
+        while out.len() - base < max {
+            match dec.decode_symbol(r) {
+                Some(s) => out.push(table.value(s)),
+                None => break,
+            }
+        }
+    })?;
+    Ok(info)
+}
+
+/// The block frame every decoder shares: parse and validate the header,
+/// build the block's [`BlockValueTable`], run `walk` over the Huffman
+/// data, fill a clipped tail with the zero-centroid value, and overlay
+/// the padded outliers — **appending** exactly `meta.group_size` values
+/// to `values`. On error nothing is appended.
+///
+/// `walk(book, reader, max, table, out)` decodes up to `max` symbols of
+/// `book` from `reader`'s position (the first data bit), appends each
+/// symbol's `table` value to `out`, and leaves `reader` just past the
+/// last decoded code; its result is handed back next to the
+/// [`DecodedGroupInfo`]. [`decode_group_into`] instantiates the frame
+/// with the sequential walk; `ecco-hw`'s oracle instantiates it with the
+/// speculative parallel decoder.
+///
+/// # Errors
+///
+/// Header errors from [`parse_block_header`], and
+/// [`DecodeErrorKind::CorruptCodebook`] from [`validate_data_book`].
+pub fn decode_group_with<T>(
+    block: &Block64,
+    meta: &TensorMetadata,
+    values: &mut Vec<f32>,
+    walk: impl FnOnce(&Codebook, &mut BitReader<'_>, usize, &BlockValueTable, &mut Vec<f32>) -> T,
+) -> Result<(DecodedGroupInfo, T), DecodeError> {
     let header = parse_block_header(block, meta)?;
     let book = &meta.books[header.kp][header.book_id];
     validate_data_book(book)?;
-    let pattern = &meta.patterns[header.kp];
-    let mut r = block.reader();
-    r.seek(header.data_start);
-
     let sf = F8E4M3::from_bits(header.sf_bits);
     let scale_signed = ecco_numerics::round_f16(meta.tensor_scale.expand(sf.to_f32()));
-    let table = BlockValueTable::new(pattern, scale_signed);
+    let table = BlockValueTable::new(&meta.patterns[header.kp], scale_signed);
 
-    // Decode up to group_size symbols, mapping each through the value
-    // table as it resolves; a clipped tail terminates decoding
-    // (prefix-freeness makes the truncation point unambiguous). The
-    // decode-table view is fetched once per block, not per symbol.
+    let mut r = block.reader();
+    r.seek(header.data_start);
     let base = values.len();
     values.reserve(meta.group_size);
-    let dec = book.symbol_decoder();
-    while values.len() - base < meta.group_size {
-        match dec.decode_symbol(&mut r) {
-            Some(s) => values.push(table.value(s)),
-            None => break,
-        }
-    }
+    let walked = walk(book, &mut r, meta.group_size, &table, values);
     let decoded = values.len() - base;
-    let data_end = r.bit_pos();
 
     // Clipped tail: fill with the reconstructed zero centroid.
     values.resize(base + meta.group_size, table.tail_fill());
@@ -610,7 +640,7 @@ pub fn decode_group_into(
     // Outliers exist only when nothing was clipped.
     let mut applied = 0usize;
     if decoded == meta.group_size {
-        let n_out = (BLOCK_BITS - data_end) / OUTLIER_BITS;
+        let n_out = (BLOCK_BITS - r.bit_pos()) / OUTLIER_BITS;
         for _ in 0..n_out {
             let pos = r.read_bits(7).expect("outlier fits") as usize;
             let f8 = F8E4M3::from_bits(r.read_bits(8).expect("outlier fits") as u8);
@@ -622,11 +652,14 @@ pub fn decode_group_into(
         }
     }
 
-    Ok(DecodedGroupInfo {
-        decoded_symbols: decoded,
-        clipped_symbols: meta.group_size - decoded,
-        applied_outliers: applied,
-    })
+    Ok((
+        DecodedGroupInfo {
+            decoded_symbols: decoded,
+            clipped_symbols: meta.group_size - decoded,
+            applied_outliers: applied,
+        },
+        walked,
+    ))
 }
 
 /// The pre-fusion two-pass decoder, kept verbatim as the pinned

@@ -11,13 +11,10 @@
 //!   the calibration set through the model; this reproduction uses
 //!   synthetic KV tensors of the same distribution family).
 
-use ecco_bits::Block64;
 use ecco_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-use crate::block::{
-    decode_group, decode_group_into, encode_group_scratch, DecodeError, DecodeErrorKind,
-};
+use crate::block::{decode_group, decode_group_into, encode_group_scratch, DecodeError};
 use crate::metadata::{PatternSelector, TensorMetadata};
 use crate::metrics::CodecStats;
 use crate::parallel::{BatchOutcome, RecoveryPolicy};
@@ -183,27 +180,7 @@ impl KvCodec {
     /// Panics if any tensor's group size mismatches the codec's
     /// (checked up front).
     pub fn decompress_batch(&self, cts: &[&CompressedTensor]) -> Vec<Result<Tensor, DecodeError>> {
-        for ct in cts {
-            assert_eq!(ct.group_size(), self.meta.group_size, "group size mismatch");
-        }
-        let metas: Vec<TensorMetadata> = cts
-            .iter()
-            .map(|ct| self.meta.with_scale(ct.tensor_scale()))
-            .collect();
-        let batch: Vec<&[Block64]> = cts.iter().map(|ct| ct.blocks()).collect();
-        crate::parallel::decode_tensors_batch_with(
-            &batch,
-            self.meta.group_size,
-            || (),
-            |(), ti, b, out| {
-                decode_group_into(b, &metas[ti], out)?;
-                Ok(())
-            },
-        )
-        .into_iter()
-        .zip(cts)
-        .map(|(r, ct)| r.map(|data| Tensor::from_vec(ct.rows(), ct.cols(), data)))
-        .collect()
+        crate::parallel::decompress_batch(&self.meta, cts)
     }
 
     /// Skip-and-continue batched KV decompression: one pool pass over
@@ -214,72 +191,21 @@ impl KvCodec {
     /// Nothing panics on malformed inputs: a tensor whose group size
     /// disagrees with the codec's, or whose block count disagrees with
     /// its shape, reports a located
-    /// [`DecodeErrorKind::LengthMismatch`] /
-    /// [`DecodeErrorKind::TruncatedStream`] without touching its
+    /// [`LengthMismatch`](crate::DecodeErrorKind::LengthMismatch) /
+    /// [`TruncatedStream`](crate::DecodeErrorKind::TruncatedStream) without touching its
     /// blocks. Healthy tensors decode bit-identically to the per-tensor
     /// loop; under [`RecoveryPolicy::SalvageBlocks`] corrupt blocks are
     /// zero-filled and reported individually
-    /// ([`BatchOutcome::Salvaged`]). The semantics mirror
-    /// [`WeightCodec::decompress_batch_report`](crate::WeightCodec::decompress_batch_report).
+    /// ([`BatchOutcome::Salvaged`]). The same body as
+    /// [`WeightCodec::decompress_batch_report`](crate::WeightCodec::decompress_batch_report)
+    /// ([`crate::parallel::decompress_batch_report`]).
     pub fn decompress_batch_report(
         &self,
         cts: &[&CompressedTensor],
         policy: RecoveryPolicy,
     ) -> Vec<BatchOutcome> {
-        let gs = self.meta.group_size;
-        // Shape screening: structurally inconsistent tensors fail up
-        // front (located at their batch slot) and are excluded from the
-        // pool pass by feeding an empty block list in their place.
-        let screened: Vec<Option<DecodeError>> = cts
-            .iter()
-            .enumerate()
-            .map(|(ti, ct)| {
-                let declared = ct.rows() * ct.cols();
-                if ct.group_size() != gs || declared % gs != 0 {
-                    Some(DecodeError::new(DecodeErrorKind::LengthMismatch).at_tensor(ti))
-                } else if ct.blocks().len() * gs < declared {
-                    Some(
-                        DecodeError::new(DecodeErrorKind::TruncatedStream)
-                            .at_block(ct.blocks().len())
-                            .at_tensor(ti),
-                    )
-                } else if ct.blocks().len() * gs > declared {
-                    Some(
-                        DecodeError::new(DecodeErrorKind::LengthMismatch)
-                            .at_block(ct.blocks().len())
-                            .at_tensor(ti),
-                    )
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let metas: Vec<TensorMetadata> = cts
-            .iter()
-            .map(|ct| self.meta.with_scale(ct.tensor_scale()))
-            .collect();
-        let empty: &[Block64] = &[];
-        let batch: Vec<&[Block64]> = cts
-            .iter()
-            .zip(&screened)
-            .map(|(ct, s)| if s.is_some() { empty } else { ct.blocks() })
-            .collect();
-        let mut out = crate::parallel::decode_tensors_batch_report_with(
-            &batch,
-            gs,
-            policy,
-            || (),
-            |(), ti, b, out| {
-                decode_group_into(b, &metas[ti], out)?;
-                Ok(())
-            },
-        );
-        for (slot, s) in out.iter_mut().zip(screened) {
-            if let Some(e) = s {
-                *slot = BatchOutcome::Failed(e);
-            }
-        }
-        out
+        let slots: Vec<_> = cts.iter().map(|&ct| Ok(ct)).collect();
+        crate::parallel::decompress_batch_report(&self.meta, &slots, policy)
     }
 
     /// Decompresses a KV tensor.
@@ -302,6 +228,7 @@ impl KvCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecco_bits::Block64;
     use ecco_tensor::{stats::nmse, synth::SynthSpec, TensorKind};
 
     fn kv_tensor(seed: u64) -> Tensor {

@@ -23,9 +23,10 @@
 //! drivers *located*: the block index is attached where the block fails,
 //! the tensor's batch index where its chunk is claimed.
 //!
-//! The hardware-model twin (batch decode through the speculative parallel
-//! decoder) lives in `ecco-hw::paradec::{decode_blocks_parallel,
-//! decode_tensors_batch}`, which reuses these drivers.
+//! Every decode driver here runs core's fused
+//! [`decode_group_into`] — the one production decoder. The codecs'
+//! batched decompression and the ECCF container's loads share one body,
+//! [`decompress_batch_report`], on top of these drivers.
 
 use ecco_bits::Block64;
 use ecco_tensor::Tensor;
@@ -39,6 +40,7 @@ use crate::metadata::{PatternSelector, TensorMetadata};
 use crate::metrics::CodecStats;
 use crate::pool::{block_chunk, Pool};
 use crate::select::GroupScratch;
+use crate::weight::CompressedTensor;
 
 /// Executors the pipelines run on: the current pool's worker threads
 /// plus the submitting thread.
@@ -188,29 +190,16 @@ pub fn decode_groups_parallel(
     blocks: &[Block64],
     meta: &TensorMetadata,
 ) -> Result<Vec<f32>, DecodeError> {
-    decode_blocks_parallel_with(
-        blocks,
-        meta.group_size,
-        || (),
-        |(), b, out| {
-            decode_group_into(b, meta, out)?;
-            Ok(())
-        },
-    )
+    decode_blocks_parallel_with(blocks, meta.group_size, |b, out| {
+        decode_group_into(b, meta, out).map(|_| ())
+    })
 }
 
-/// The chunked decode driver every multi-block pipeline runs on: blocks
+/// The chunked decode driver behind [`decode_groups_parallel`]: blocks
 /// are cut into dynamically-claimed chunks ([`crate::pool::block_chunk`]),
-/// each chunk builds one `state` with `init` (scratch buffers, decoder
-/// tables, …) and folds its blocks through `decode`, and the per-chunk
+/// each chunk folds its blocks through `decode`, and the per-chunk
 /// outputs are reassembled in block order — bit-identical to the
 /// sequential loop regardless of pool size or chunking.
-///
-/// [`decode_groups_parallel`] instantiates this with the sequential
-/// reference decoder; `ecco-hw::decode_blocks_parallel` instantiates it
-/// with the hardware model's batched-window LUT decoder (one
-/// `DecodeScratch` per chunk), so both sharded paths share exactly this
-/// chunking and reassembly policy.
 ///
 /// `decode` appends exactly `group_size` values per block to `out`.
 ///
@@ -218,15 +207,13 @@ pub fn decode_groups_parallel(
 ///
 /// Returns the first error in block order, as the sequential loop would,
 /// located at its block index ([`DecodeError::block`]).
-pub fn decode_blocks_parallel_with<S, I, F>(
+pub fn decode_blocks_parallel_with<F>(
     blocks: &[Block64],
     group_size: usize,
-    init: I,
     decode: F,
 ) -> Result<Vec<f32>, DecodeError>
 where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &Block64, &mut Vec<f32>) -> Result<(), DecodeError> + Sync,
+    F: Fn(&Block64, &mut Vec<f32>) -> Result<(), DecodeError> + Sync,
 {
     if blocks.is_empty() {
         return Ok(Vec::new());
@@ -235,10 +222,9 @@ where
     let chunk = block_chunk(&pool, blocks.len());
     let parts: Vec<Result<Vec<f32>, DecodeError>> = pool
         .run_map(blocks.len(), chunk, |lo, hi| {
-            let mut state = init();
             let mut values = Vec::with_capacity((hi - lo) * group_size);
             for (i, b) in blocks[lo..hi].iter().enumerate() {
-                decode(&mut state, b, &mut values).map_err(|e| e.at_block(lo + i))?;
+                decode(b, &mut values).map_err(|e| e.at_block(lo + i))?;
             }
             Ok(values)
         })
@@ -283,11 +269,11 @@ fn batch_chunks(pool: &Pool, sizes: &[usize]) -> (Vec<BatchChunk>, usize) {
 /// far below the pool's chunk policy) is claimed a handful of times
 /// instead of once per tensor. This is what lets batched submission beat
 /// the per-tensor pooled loop: small tensors run entirely on the pool's
-/// inline fast path, so a batch driver paying one queue round-trip, one
-/// scratch `init()` and one result slot *per tiny tensor* loses to it
-/// (the `batch_decode` 0.95x regression); claim-grouping amortizes all
-/// three across `target` blocks while keeping per-chunk (= per-tensor)
-/// failure isolation inside the claim.
+/// inline fast path, so a batch driver paying one queue round-trip and
+/// one result slot *per tiny tensor* loses to it (the `batch_decode`
+/// 0.95x regression); claim-grouping amortizes both across `target`
+/// blocks while keeping per-chunk (= per-tensor) failure isolation
+/// inside the claim.
 fn claim_ranges(chunks: &[BatchChunk], target: usize) -> Vec<std::ops::Range<usize>> {
     let mut claims = Vec::new();
     let mut start = 0;
@@ -351,6 +337,16 @@ impl BatchOutcome {
     pub fn is_ok(&self) -> bool {
         matches!(self, BatchOutcome::Ok(_))
     }
+
+    /// The strict view: the values when every block decoded, otherwise
+    /// the first located error (a salvaged tensor's first bad block).
+    pub fn into_result(self) -> Result<Vec<f32>, DecodeError> {
+        match self {
+            BatchOutcome::Ok(v) => Ok(v),
+            BatchOutcome::Salvaged { bad_blocks, .. } => Err(bad_blocks[0]),
+            BatchOutcome::Failed(e) => Err(e),
+        }
+    }
 }
 
 /// What a batched decode does when it hits a corrupt block.
@@ -382,16 +378,14 @@ type ChunkPart = Result<(Vec<f32>, Vec<DecodeError>), DecodeError>;
 /// (for per-tensor metadata) and appends exactly `group_size` values per
 /// block. Every error is located: block index at the failing block,
 /// tensor index at the claim.
-pub fn decode_tensors_batch_report_with<S, I, F>(
+pub fn decode_tensors_batch_report_with<F>(
     batch: &[&[Block64]],
     group_size: usize,
     policy: RecoveryPolicy,
-    init: I,
     decode: F,
 ) -> Vec<BatchOutcome>
 where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &Block64, &mut Vec<f32>) -> Result<(), DecodeError> + Sync,
+    F: Fn(usize, &Block64, &mut Vec<f32>) -> Result<(), DecodeError> + Sync,
 {
     let pool = Pool::current();
     let sizes: Vec<usize> = batch.iter().map(|b| b.len()).collect();
@@ -400,9 +394,6 @@ where
 
     let parts: Vec<Vec<ChunkPart>> = pool
         .run_map(claims.len(), 1, |k, _| {
-            // One scratch state serves the whole claim; it is rebuilt
-            // only if a panic may have poisoned it.
-            let mut state: Option<S> = None;
             let mut out: Vec<ChunkPart> = Vec::with_capacity(claims[k].len());
             for ci in claims[k].clone() {
                 let BatchChunk { tensor, lo, hi } = chunks[ci];
@@ -410,12 +401,11 @@ where
                 // metadata, but this is the failure-injection surface)
                 // must poison only this tensor's result, not the batch.
                 let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    let state = state.get_or_insert_with(&init);
                     let mut values = Vec::with_capacity((hi - lo) * group_size);
                     let mut bad: Vec<DecodeError> = Vec::new();
                     for (i, b) in batch[tensor][lo..hi].iter().enumerate() {
                         let before = values.len();
-                        match decode(state, tensor, b, &mut values) {
+                        match decode(tensor, b, &mut values) {
                             Ok(()) => {}
                             Err(e) => {
                                 let located = e.at_block(lo + i).at_tensor(tensor);
@@ -432,13 +422,9 @@ where
                     }
                     Ok((values, bad))
                 }));
-                out.push(match attempt {
-                    Ok(part) => part,
-                    Err(_) => {
-                        state = None;
-                        Err(DecodeError::new(DecodeErrorKind::WorkerPanic).at_tensor(tensor))
-                    }
-                });
+                out.push(attempt.unwrap_or_else(|_| {
+                    Err(DecodeError::new(DecodeErrorKind::WorkerPanic).at_tensor(tensor))
+                }));
             }
             out
         })
@@ -485,14 +471,12 @@ where
     out
 }
 
-/// Decodes many tensors' block arrays in **one pool pass** — the batched
-/// submission driver behind [`crate::WeightCodec::decompress_batch`] and
-/// `ecco-hw::decode_tensors_batch`. All tensors' chunks enter the shared
-/// injector queue together (grouped into claims of roughly one pool
-/// chunk's worth of blocks), so concurrent requests share workers
-/// instead of oversubscribing; a batch that flattens to a single claim
-/// runs inline on the caller, multi-claim batches pay one queue wake-up
-/// for the whole batch.
+/// Decodes many tensors' block arrays in **one pool pass**. All tensors'
+/// chunks enter the shared injector queue together (grouped into claims
+/// of roughly one pool chunk's worth of blocks), so concurrent requests
+/// share workers instead of oversubscribing; a batch that flattens to a
+/// single claim runs inline on the caller, multi-claim batches pay one
+/// queue wake-up for the whole batch.
 ///
 /// `decode` receives the batch index of the tensor the block belongs to
 /// (for per-tensor metadata) and appends exactly `group_size` values per
@@ -505,24 +489,116 @@ where
 /// of the batch are unaffected. This is exactly
 /// [`decode_tensors_batch_report_with`] under
 /// [`RecoveryPolicy::FailTensor`], flattened to `Result`s.
-pub fn decode_tensors_batch_with<S, I, F>(
+pub fn decode_tensors_batch_with<F>(
     batch: &[&[Block64]],
     group_size: usize,
-    init: I,
     decode: F,
 ) -> Vec<Result<Vec<f32>, DecodeError>>
 where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &Block64, &mut Vec<f32>) -> Result<(), DecodeError> + Sync,
+    F: Fn(usize, &Block64, &mut Vec<f32>) -> Result<(), DecodeError> + Sync,
 {
-    decode_tensors_batch_report_with(batch, group_size, RecoveryPolicy::FailTensor, init, decode)
+    decode_tensors_batch_report_with(batch, group_size, RecoveryPolicy::FailTensor, decode)
         .into_iter()
-        .map(|o| match o {
-            BatchOutcome::Ok(v) => Ok(v),
-            BatchOutcome::Failed(e) => Err(e),
-            BatchOutcome::Salvaged { .. } => {
-                unreachable!("FailTensor never salvages")
-            }
+        .map(BatchOutcome::into_result)
+        .collect()
+}
+
+/// Shape screening for one compressed tensor against the decoding
+/// metadata's group size: a group-size or block-count lie is a typed
+/// error (a count lie located at the block count), caught before any
+/// block decodes.
+fn screen(ct: &CompressedTensor, group_size: usize) -> Result<(), DecodeError> {
+    let declared = ct.rows() * ct.cols();
+    let have = ct.blocks().len() * group_size;
+    if ct.group_size() != group_size || !declared.is_multiple_of(group_size) {
+        Err(DecodeErrorKind::LengthMismatch.into())
+    } else if have < declared {
+        Err(DecodeError::new(DecodeErrorKind::TruncatedStream).at_block(ct.blocks().len()))
+    } else if have > declared {
+        Err(DecodeError::new(DecodeErrorKind::LengthMismatch).at_block(ct.blocks().len()))
+    } else {
+        Ok(())
+    }
+}
+
+/// The one batched decompression body: decodes every slot's compressed
+/// tensor under `meta` (re-scaled per tensor) in **one pool pass** and
+/// returns a per-slot [`BatchOutcome`]. Behind
+/// [`WeightCodec::decompress_batch_report`](crate::WeightCodec::decompress_batch_report),
+/// [`KvCodec::decompress_batch_report`](crate::KvCodec::decompress_batch_report),
+/// both codecs' `decompress_batch`, and the ECCF container's loads.
+///
+/// A slot that is already an error (a container frame that failed its
+/// read or CRC) passes through as [`BatchOutcome::Failed`] untouched.
+/// Nothing panics on malformed inputs: a tensor whose group size
+/// disagrees with `meta`'s, or whose block count disagrees with its
+/// shape, reports a [`DecodeErrorKind::LengthMismatch`] /
+/// [`DecodeErrorKind::TruncatedStream`] located at its slot, without
+/// touching its blocks. Healthy tensors decode bit-identically to the
+/// per-tensor loop; under [`RecoveryPolicy::SalvageBlocks`] corrupt
+/// blocks are zero-filled and reported individually
+/// ([`BatchOutcome::Salvaged`]).
+pub fn decompress_batch_report(
+    meta: &TensorMetadata,
+    slots: &[Result<&CompressedTensor, DecodeError>],
+    policy: RecoveryPolicy,
+) -> Vec<BatchOutcome> {
+    let gs = meta.group_size;
+    let screened: Vec<Result<&CompressedTensor, DecodeError>> = slots
+        .iter()
+        .enumerate()
+        .map(|(ti, &slot)| {
+            let ct = slot?;
+            screen(ct, gs).map_err(|e| e.at_tensor(ti))?;
+            Ok(ct)
+        })
+        .collect();
+    // Per-tensor metadata views (scales differ per tensor); failed slots
+    // enter the pool pass as empty block lists and never decode.
+    let metas: Vec<Option<TensorMetadata>> = screened
+        .iter()
+        .map(|s| s.ok().map(|ct| meta.with_scale(ct.tensor_scale())))
+        .collect();
+    let batch: Vec<&[Block64]> = screened
+        .iter()
+        .map(|s| s.map_or(&[][..], |ct| ct.blocks()))
+        .collect();
+    let mut out = decode_tensors_batch_report_with(&batch, gs, policy, |ti, b, out| {
+        let meta = metas[ti]
+            .as_ref()
+            .expect("only screened-in slots have blocks");
+        decode_group_into(b, meta, out).map(|_| ())
+    });
+    for (slot, s) in out.iter_mut().zip(screened) {
+        if let Err(e) = s {
+            *slot = BatchOutcome::Failed(e);
+        }
+    }
+    out
+}
+
+/// Both codecs' strict `decompress_batch`: [`decompress_batch_report`]
+/// under [`RecoveryPolicy::FailTensor`], each slot reshaped into a
+/// [`Tensor`] or its first located error.
+///
+/// # Panics
+///
+/// Panics if any tensor's group size mismatches `meta`'s (checked up
+/// front).
+pub(crate) fn decompress_batch(
+    meta: &TensorMetadata,
+    cts: &[&CompressedTensor],
+) -> Vec<Result<Tensor, DecodeError>> {
+    for ct in cts {
+        assert_eq!(ct.group_size(), meta.group_size, "group size mismatch");
+    }
+    let slots: Vec<Result<&CompressedTensor, DecodeError>> = cts.iter().map(|&ct| Ok(ct)).collect();
+    decompress_batch_report(meta, &slots, RecoveryPolicy::FailTensor)
+        .into_iter()
+        .zip(cts)
+        .map(|(o, ct)| {
+            o.into_result()
+                .map(|v| Tensor::from_vec(ct.rows(), ct.cols(), v))
         })
         .collect()
 }
@@ -676,8 +752,7 @@ mod tests {
         let results = decode_tensors_batch_with(
             &[&good, &poisoned, &good],
             meta.group_size,
-            || (),
-            |(), _ti, b, out| {
+            |_ti, b, out| {
                 let (v, _) = decode_group(b, &meta)?;
                 out.extend_from_slice(&v);
                 Ok(())
@@ -710,7 +785,7 @@ mod tests {
         let bad_kind = decode_group(&bad, &meta).unwrap_err().kind;
         let seq = decode_groups_parallel(&good, &meta).unwrap();
 
-        let decode = |(): &mut (), _ti: usize, b: &Block64, out: &mut Vec<f32>| {
+        let decode = |_ti: usize, b: &Block64, out: &mut Vec<f32>| {
             let (v, _) = decode_group(b, &meta)?;
             out.extend_from_slice(&v);
             Ok(())
@@ -719,7 +794,6 @@ mod tests {
             &[&good, &poisoned, &good],
             meta.group_size,
             RecoveryPolicy::SalvageBlocks,
-            || (),
             decode,
         );
         assert_eq!(report[0], BatchOutcome::Ok(seq.clone()));
@@ -747,7 +821,6 @@ mod tests {
             &[&good, &poisoned],
             meta.group_size,
             RecoveryPolicy::FailTensor,
-            || (),
             decode,
         );
         assert!(failed[0].is_ok());
@@ -778,16 +851,11 @@ mod tests {
         for threads in [1usize, 4] {
             let pool = PoolBuilder::new().threads(threads).build();
             with_pool(&pool, || {
-                let results = decode_tensors_batch_with(
-                    &tiny,
-                    meta.group_size,
-                    || (),
-                    |(), _ti, b, out| {
-                        let (v, _) = decode_group(b, &meta)?;
-                        out.extend_from_slice(&v);
-                        Ok(())
-                    },
-                );
+                let results = decode_tensors_batch_with(&tiny, meta.group_size, |_ti, b, out| {
+                    let (v, _) = decode_group(b, &meta)?;
+                    out.extend_from_slice(&v);
+                    Ok(())
+                });
                 for (r, pair) in results.iter().zip(blocks.chunks(2)) {
                     let mut want = Vec::new();
                     for b in pair {
@@ -796,16 +864,12 @@ mod tests {
                     assert_eq!(r.as_ref().unwrap(), &want, "threads {threads}");
                 }
 
-                let results = decode_tensors_batch_with(
-                    &tiny_poisoned,
-                    meta.group_size,
-                    || (),
-                    |(), _ti, b, out| {
+                let results =
+                    decode_tensors_batch_with(&tiny_poisoned, meta.group_size, |_ti, b, out| {
                         let (v, _) = decode_group(b, &meta)?;
                         out.extend_from_slice(&v);
                         Ok(())
-                    },
-                );
+                    });
                 let e = results[2].as_ref().unwrap_err();
                 assert_eq!((e.tensor, e.block), (Some(2), Some(1)), "threads {threads}");
                 assert!(results.iter().enumerate().all(|(i, r)| i == 2 || r.is_ok()));
@@ -851,8 +915,7 @@ mod tests {
                 let batch = decode_tensors_batch_with(
                     &[&blocks[..], &blocks[..3], empty],
                     meta.group_size,
-                    || (),
-                    |(), _ti, b, out| {
+                    |_ti, b, out| {
                         let (v, _) = decode_group(b, &meta)?;
                         out.extend_from_slice(&v);
                         Ok(())

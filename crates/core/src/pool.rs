@@ -6,7 +6,8 @@
 //! ([`par_map_indexed`](crate::parallel::par_map_indexed)), the
 //! whole-tensor encode/decode pipelines, and the batched multi-tensor
 //! submission APIs ([`WeightCodec::compress_batch`](crate::WeightCodec::compress_batch),
-//! `ecco-hw::decode_tensors_batch`) — submits to the *current* pool:
+//! [`WeightCodec::decompress_batch`](crate::WeightCodec::decompress_batch))
+//! — submits to the *current* pool:
 //! the innermost [`with_pool`] binding on the calling thread, or the
 //! lazily-started global pool sized by `ECCO_THREADS` (then
 //! `RAYON_NUM_THREADS`, then the core count). The vendored rayon facade

@@ -6,7 +6,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::block::{
     decode_group, decode_group_into, encode_group_scratch, encode_group_weighted_scratch,
-    DecodeError, DecodeErrorKind,
 };
 use crate::metadata::{PatternSelector, TensorMetadata};
 use crate::metrics::CodecStats;
@@ -321,7 +320,7 @@ impl WeightCodec {
     /// of [`WeightCodec::compress_batch`]. Per-tensor failures stay
     /// isolated: a corrupted block (or even a panicking worker task)
     /// poisons only its own tensor's entry, as the first
-    /// [`DecodeError`] in block order, while
+    /// [`DecodeError`](crate::DecodeError) in block order, while
     /// the rest of the batch decodes bit-identically to
     /// [`WeightCodec::decompress`].
     ///
@@ -333,28 +332,7 @@ impl WeightCodec {
         &self,
         cts: &[&CompressedTensor],
     ) -> Vec<Result<Tensor, crate::block::DecodeError>> {
-        for ct in cts {
-            assert_eq!(ct.group_size, self.meta.group_size, "group size mismatch");
-        }
-        let metas: Vec<TensorMetadata> = cts
-            .iter()
-            .map(|ct| self.meta.with_scale(ct.tensor_scale))
-            .collect();
-        let batch: Vec<&[Block64]> = cts.iter().map(|ct| ct.blocks()).collect();
-        let decoded = crate::parallel::decode_tensors_batch_with(
-            &batch,
-            self.meta.group_size,
-            || (),
-            |(), ti, b, out| {
-                decode_group_into(b, &metas[ti], out)?;
-                Ok(())
-            },
-        );
-        decoded
-            .into_iter()
-            .zip(cts)
-            .map(|(r, ct)| r.map(|data| Tensor::from_vec(ct.rows, ct.cols, data)))
-            .collect()
+        crate::parallel::decompress_batch(&self.meta, cts)
     }
 
     /// Skip-and-continue batched decompression: one pool pass over every
@@ -365,71 +343,20 @@ impl WeightCodec {
     /// Unlike [`WeightCodec::decompress_batch`], nothing panics on
     /// malformed inputs: a tensor whose group size disagrees with the
     /// codec's, or whose block count disagrees with its shape, reports a
-    /// located [`DecodeErrorKind::LengthMismatch`] /
-    /// [`DecodeErrorKind::TruncatedStream`] without touching its blocks.
+    /// located [`LengthMismatch`](crate::DecodeErrorKind::LengthMismatch) /
+    /// [`TruncatedStream`](crate::DecodeErrorKind::TruncatedStream) without touching its blocks.
     /// Healthy tensors decode bit-identically to the per-tensor loop;
     /// under [`RecoveryPolicy::SalvageBlocks`] corrupt blocks are
     /// zero-filled and reported individually
-    /// ([`BatchOutcome::Salvaged`]).
+    /// ([`BatchOutcome::Salvaged`]). See
+    /// [`crate::parallel::decompress_batch_report`].
     pub fn decompress_batch_report(
         &self,
         cts: &[&CompressedTensor],
         policy: RecoveryPolicy,
     ) -> Vec<BatchOutcome> {
-        let gs = self.meta.group_size;
-        // Shape screening: structurally inconsistent tensors fail up
-        // front (located at their batch slot) and are excluded from the
-        // pool pass by feeding an empty block list in their place.
-        let screened: Vec<Option<DecodeError>> = cts
-            .iter()
-            .enumerate()
-            .map(|(ti, ct)| {
-                let declared = ct.rows * ct.cols;
-                if ct.group_size != gs || declared % gs != 0 {
-                    Some(DecodeError::new(DecodeErrorKind::LengthMismatch).at_tensor(ti))
-                } else if ct.blocks.len() * gs < declared {
-                    Some(
-                        DecodeError::new(DecodeErrorKind::TruncatedStream)
-                            .at_block(ct.blocks.len())
-                            .at_tensor(ti),
-                    )
-                } else if ct.blocks.len() * gs > declared {
-                    Some(
-                        DecodeError::new(DecodeErrorKind::LengthMismatch)
-                            .at_block(ct.blocks.len())
-                            .at_tensor(ti),
-                    )
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let metas: Vec<TensorMetadata> = cts
-            .iter()
-            .map(|ct| self.meta.with_scale(ct.tensor_scale))
-            .collect();
-        let empty: &[Block64] = &[];
-        let batch: Vec<&[Block64]> = cts
-            .iter()
-            .zip(&screened)
-            .map(|(ct, s)| if s.is_some() { empty } else { ct.blocks() })
-            .collect();
-        let mut out = crate::parallel::decode_tensors_batch_report_with(
-            &batch,
-            gs,
-            policy,
-            || (),
-            |(), ti, b, out| {
-                decode_group_into(b, &metas[ti], out)?;
-                Ok(())
-            },
-        );
-        for (slot, s) in out.iter_mut().zip(screened) {
-            if let Some(e) = s {
-                *slot = BatchOutcome::Failed(e);
-            }
-        }
-        out
+        let slots: Vec<_> = cts.iter().map(|&ct| Ok(ct)).collect();
+        crate::parallel::decompress_batch_report(&self.meta, &slots, policy)
     }
 
     /// [`WeightCodec::decompress`] across a thread pool; bit-identical
@@ -473,6 +400,7 @@ impl WeightCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::DecodeErrorKind;
     use ecco_tensor::{stats::nmse, synth::SynthSpec, TensorKind};
 
     fn cfg() -> EccoConfig {

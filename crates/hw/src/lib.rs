@@ -1,14 +1,20 @@
 //! Cycle-accurate functional models of the Ecco hardware (Sections 4.2
-//! and 4.3 of the paper).
+//! and 4.3 of the paper): the differential oracles and the hardware-cost
+//! model, not a production decode path.
 //!
-//! These models prove the paper's parallel decode algorithm correct and
-//! provide the latency/area/power numbers the evaluation reports:
+//! Production decoding (the codecs, the ECCF container, the serving
+//! store) runs `ecco-core`'s sequential fused decoder, which is the
+//! faster one in software. These models prove the paper's parallel
+//! decode algorithm correct against it and provide the
+//! latency/area/power numbers the evaluation reports:
 //!
 //! * [`bitonic`] — the 128-lane bitonic sorting network the compressor
 //!   uses to extract the scale factor, top-16 outliers and group min/max,
 //! * [`paradec`] — the 64-decoder × 8-sub-decoder speculative parallel
-//!   Huffman decoder with its 6-stage concatenation tree, proven
-//!   equivalent to sequential decoding (property-tested),
+//!   Huffman decoder with its 6-stage concatenation tree and per-block
+//!   work accounting ([`DecodeStats`]), proven equivalent to sequential
+//!   decoding (property-tested) and kept beside the seed implementation
+//!   ([`paradec::seed_port`]) it replaced,
 //! * [`compressor`] — the hardware compression pipeline (min/max pattern
 //!   selector over 16 patterns, 4 parallel Huffman encoders, clip),
 //!   proven equivalent to the reference codec,
@@ -18,8 +24,9 @@
 //!
 //! # Examples
 //!
-//! Decode a compressed tensor's blocks through the hardware decoder model
-//! and check it agrees with the reference codec bit for bit:
+//! Decode a compressed tensor block by block through the hardware
+//! decoder model and check it agrees with the production codec bit for
+//! bit:
 //!
 //! ```
 //! use ecco_core::{EccoConfig, WeightCodec};
@@ -30,7 +37,12 @@
 //! let (ct, _) = codec.compress_parallel(&t);
 //!
 //! let meta = codec.metadata().with_scale(ct.tensor_scale());
-//! let hw_values = ecco_hw::decode_blocks_parallel(ct.blocks(), &meta).unwrap();
+//! let mut hw_values = Vec::new();
+//! for block in ct.blocks() {
+//!     let (values, trace) = ecco_hw::decode_block_parallel(block, &meta).unwrap();
+//!     assert_eq!(trace.merge_stages, 6); // the 6-stage concatenation tree
+//!     hw_values.extend(values);
+//! }
 //! assert_eq!(hw_values, codec.decompress_parallel(&ct).data());
 //! ```
 
@@ -46,9 +58,5 @@ pub mod pipeline;
 pub use area::{AreaPowerModel, ComponentArea};
 pub use bitonic::BitonicSorter;
 pub use compressor::HwCompressor;
-pub use paradec::{
-    decode_block_parallel, decode_block_parallel_into, decode_block_parallel_two_pass,
-    decode_blocks_parallel, decode_tensors_batch, decode_tensors_batch_report, DecodeScratch,
-    DecodeStats, ParallelDecoder,
-};
+pub use paradec::{decode_block_parallel, DecodeStats, ParallelDecoder};
 pub use pipeline::{PipelineSpec, StreamSim, StreamStats};

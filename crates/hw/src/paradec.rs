@@ -24,11 +24,11 @@
 //! bit-exact output) in three allocation-free passes:
 //!
 //! 1. **Sub-decode.** One [`ecco_bits::BlockCursor`] views the block as
-//!    big-endian words; the front end then runs **segment-at-a-time**:
-//!    all 8 offset windows of a segment come from one
-//!    [`BlockCursor::windows8`] batch (one guarded word-pair load
-//!    amortized across the 8 offsets — portable, AVX2 or NEON, see
-//!    [`ecco_bits::WindowDispatch`]) and are resolved by one gathered
+//!    big-endian words; all 64 segments' 8 offset windows come from one
+//!    block-at-a-time [`BlockCursor::windows_all`] fill (guarded
+//!    word-pair loads amortized across the offsets — portable, AVX2 or
+//!    NEON, see [`ecco_bits::WindowDispatch`]), and each segment's 8 are
+//!    resolved by one gathered
 //!    [`SegmentLut::entries8`] probe (a `2^15`-entry table mapping a
 //!    window to its packed chain of up to four `(symbol, end)` pairs —
 //!    layout in [`ecco_entropy::lut`]). Each chain is truncated to its
@@ -49,13 +49,21 @@
 //!
 //! The seed implementation is preserved verbatim in [`seed_port`] so the
 //! benches can measure the rewrite against it on identical inputs.
+//!
+//! # Role: oracle and cost model
+//!
+//! Nothing in production decodes through this module. The 64×8
+//! speculation is free in silicon but pure overhead on a CPU core, where
+//! `ecco-core`'s sequential LUT walk is faster. [`decode_block_parallel`]
+//! runs the decoder inside core's block frame
+//! ([`ecco_core::decode_group_with`]), so the differential suites can
+//! hold it to the production decoder block for block, and
+//! [`DecodeStats`] reports the hardware's work per block.
 
 use ecco_bits::{Block64, BlockCursor, BLOCK_BITS};
-use ecco_core::block::DecodeError;
-use ecco_core::{BlockValueTable, TensorMetadata, SCALE_SYMBOL};
+use ecco_core::{decode_group_with, DecodeError, TensorMetadata};
 use ecco_entropy::lut::{ChainEntry, SegmentLut, MAX_CHAIN, WINDOW_BITS as LUT_WINDOW_BITS};
 use ecco_entropy::Codebook;
-use ecco_numerics::F8E4M3;
 
 /// Bits per decoder segment.
 pub const SEGMENT_BITS: usize = 8;
@@ -226,81 +234,7 @@ impl<'a> ParallelDecoder<'a> {
         }
     }
 
-    /// The fused decode-to-values walk: like
-    /// [`ParallelDecoder::decode_into`], but each resolved symbol is
-    /// gathered through a per-block [`BlockValueTable`] as the EOP walk
-    /// visits it, **appending** up to `max_symbols` reconstructed f32
-    /// values to `out` — no intermediate symbol buffer, no second
-    /// reconstruction pass. The caller computes the decoded count from
-    /// `out.len()` before/after.
-    ///
-    /// Unlike the symbol walk, the software hot path here probes the LUT
-    /// **lazily**: the EOP chain consumes exactly one entry offset per
-    /// segment, and each [`SegRecord`] depends only on its own 15-bit
-    /// window, so walking the live chain probes ~64 windows instead of
-    /// materializing all 64×8 speculative records the silicon would (a
-    /// parallelism that is free in hardware and pure waste on one core).
-    /// The chain — and every emitted value and the end bit — is
-    /// bit-identical to the speculative fill; the returned
-    /// [`DecodeStats`] still report the modeled hardware cost
-    /// (`segments × 8` sub-decoder ops), matching [`decode_into`].
-    ///
-    /// [`decode_into`]: ParallelDecoder::decode_into
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start_bit` is outside the block, or if a decoded
-    /// symbol exceeds the table (impossible for a book that passed
-    /// [`ecco_core::validate_data_book`]).
-    pub fn decode_values_into(
-        &self,
-        block: &Block64,
-        start_bit: usize,
-        max_symbols: usize,
-        table: &BlockValueTable,
-        out: &mut Vec<f32>,
-    ) -> DecodeStats {
-        assert!(start_bit < BLOCK_BITS, "start bit outside block");
-        let first_seg = start_bit / SEGMENT_BITS;
-        let entry_offset = start_bit % SEGMENT_BITS;
-        let segments = NUM_SEGMENTS - first_seg;
-
-        // The block-at-a-time window fill stays: one dispatched
-        // `windows_all` call hands every sub-decoder window to the walk.
-        let cursor = BlockCursor::new(block);
-        let mut windows = [[0u64; SUB_DECODERS]; NUM_SEGMENTS];
-        cursor.windows_all(LUT_WINDOW_BITS, &mut windows);
-
-        // Pass 2+3, lazily: resolve only the record the chain lands on.
-        let base = out.len();
-        out.reserve(max_symbols);
-        let mut end_bit = start_bit;
-        let mut offset = entry_offset;
-        'walk: for (seg, wins) in windows.iter().enumerate().skip(first_seg) {
-            let rec = SegRecord::from_chain(self.lut.entry(wins[offset]), seg, offset);
-            let seg_base = seg * SEGMENT_BITS + offset;
-            for i in 0..rec.count as usize {
-                if out.len() - base == max_symbols {
-                    break 'walk;
-                }
-                out.push(table.value(rec.syms[i]));
-                end_bit = seg_base + rec.ends[i] as usize;
-            }
-            if rec.terminated {
-                break;
-            }
-            offset = rec.eop as usize;
-        }
-
-        DecodeStats {
-            end_bit,
-            merge_stages: ceil_log2(segments),
-            sub_decoder_ops: segments * SUB_DECODERS,
-        }
-    }
-
-    /// Pass 1 of the symbol walk (the fused walk resolves records
-    /// lazily along the chain instead): speculative sub-decoders with a
+    /// Pass 1 of the symbol walk: speculative sub-decoders with a
     /// **block-at-a-time** window fill — all 64 segments' 8 offset
     /// windows come from one
     /// [`BlockCursor::windows_all`] call (one `#[target_feature]` shim
@@ -363,21 +297,12 @@ fn ceil_log2(n: usize) -> usize {
     }
 }
 
-/// Reusable buffers for repeated block decodes — lets a pipeline decode an
-/// entire tensor without per-block allocation.
-#[derive(Debug, Default)]
-pub struct DecodeScratch {
-    symbols: Vec<u16>,
-}
-
-/// Full block decompression through the parallel decoder: header parse,
-/// parallel symbol decode, centroid mapping and outlier application —
-/// the functional twin of [`ecco_core::decode_group`], used to prove the
-/// hardware algorithm equivalent to the reference decoder.
-///
-/// Runs the pinned two-pass path because its result carries the decoded
-/// symbol stream; value-only callers ride the fused
-/// [`decode_block_parallel_into`].
+/// Full block decompression through the parallel decoder — the block
+/// frame of [`ecco_core::decode_group_with`] (header, value table, tail
+/// fill, outliers) over [`ParallelDecoder::decode_into`] as its symbol
+/// walk, returning the values plus the decoded symbol stream and the
+/// modeled hardware cost. The oracle that proves the hardware algorithm
+/// equivalent to the production decoder, block for block.
 ///
 /// # Errors
 ///
@@ -386,227 +311,21 @@ pub fn decode_block_parallel(
     block: &Block64,
     meta: &TensorMetadata,
 ) -> Result<(Vec<f32>, ParallelDecodeResult), DecodeError> {
-    let mut scratch = DecodeScratch::default();
     let mut values = Vec::with_capacity(meta.group_size);
-    let stats = decode_block_parallel_two_pass(block, meta, &mut scratch, &mut values)?;
-    Ok((
-        values,
-        ParallelDecodeResult {
-            symbols: std::mem::take(&mut scratch.symbols),
-            end_bit: stats.end_bit,
-            merge_stages: stats.merge_stages,
-            sub_decoder_ops: stats.sub_decoder_ops,
-        },
-    ))
-}
-
-/// The fused full-block decompression: header parse, then one
-/// decode-to-values walk ([`ParallelDecoder::decode_values_into`])
-/// **appending** `meta.group_size` reconstructed values to `values` —
-/// no symbol scratch, no second mapping pass. On error nothing is
-/// appended. Bit-identical to the pinned
-/// [`decode_block_parallel_two_pass`] on every input (held differentially
-/// by `tests/fuzz_ingest.rs` on both dispatch arms).
-///
-/// # Errors
-///
-/// Returns the same [`DecodeError`]s as the reference decoder.
-pub fn decode_block_parallel_into(
-    block: &Block64,
-    meta: &TensorMetadata,
-    values: &mut Vec<f32>,
-) -> Result<DecodeStats, DecodeError> {
-    let header = ecco_core::block::parse_block_header(block, meta)?;
-    let sf = F8E4M3::from_bits(header.sf_bits);
-    let scale_signed = ecco_numerics::round_f16(meta.tensor_scale.expand(sf.to_f32()));
-
-    // Same revival predicate as the sequential decoder: a corrupt revived
-    // book surfaces a typed error here instead of panicking in the
-    // SegmentLut build (lengths outside 2..=8) or indexing past the
-    // centroid table (alphabet wider than the symbol space).
-    let book = &meta.books[header.kp][header.book_id];
-    ecco_core::validate_data_book(book)?;
-    let table = BlockValueTable::new(&meta.patterns[header.kp], scale_signed);
-    let decoder = ParallelDecoder::new(book);
-
-    let base = values.len();
-    let stats =
-        decoder.decode_values_into(block, header.data_start, meta.group_size, &table, values);
-    let decoded = values.len() - base;
-
-    // Clipped tail: the reconstructed zero centroid (data mapper's 128
-    // parallel lanes in hardware, here one table gather per value).
-    values.resize(base + meta.group_size, table.tail_fill());
-
-    if decoded == meta.group_size {
-        let n_out = (BLOCK_BITS - stats.end_bit) / 15;
-        let mut or = block.reader();
-        or.seek(stats.end_bit);
-        for _ in 0..n_out {
-            let pos = or.read_bits(7).expect("outlier fits") as usize;
-            let f8 = F8E4M3::from_bits(or.read_bits(8).expect("outlier fits") as u8);
-            if pos < meta.group_size && !f8.is_nan() {
-                values[base + pos] =
-                    ecco_numerics::round_f16(meta.tensor_scale.expand(f8.to_f32()));
-            }
-        }
-    }
-    Ok(stats)
-}
-
-/// The pre-fusion two-pass block decompression, kept as the pinned
-/// differential baseline: symbols land in `scratch`, reconstructed
-/// values in `values` (cleared, then filled to `meta.group_size`).
-/// [`decode_block_parallel_into`] must stay bit-identical to this on
-/// every input and both dispatch arms.
-///
-/// # Errors
-///
-/// Returns the same [`DecodeError`]s as the reference decoder.
-pub fn decode_block_parallel_two_pass(
-    block: &Block64,
-    meta: &TensorMetadata,
-    scratch: &mut DecodeScratch,
-    values: &mut Vec<f32>,
-) -> Result<DecodeStats, DecodeError> {
-    values.clear();
-    let header = ecco_core::block::parse_block_header(block, meta)?;
-    let sf = F8E4M3::from_bits(header.sf_bits);
-    let scale_signed = ecco_numerics::round_f16(meta.tensor_scale.expand(sf.to_f32()));
-    let scale_mag = scale_signed.abs();
-    let pattern = &meta.patterns[header.kp];
-
-    let book = &meta.books[header.kp][header.book_id];
-    ecco_core::validate_data_book(book)?;
-    let decoder = ParallelDecoder::new(book);
-    let stats = decoder.decode_into(
-        block,
-        header.data_start,
-        meta.group_size,
-        &mut scratch.symbols,
-    );
-
-    // Data mapper (128 parallel lanes in hardware), as a second pass
-    // over the decoded symbol buffer.
-    let zero_centroid = pattern.centroids()[pattern.zero_symbol() as usize];
-    values.extend(scratch.symbols.iter().map(|&s| {
-        if s == SCALE_SYMBOL {
-            scale_signed
-        } else {
-            ecco_numerics::round_f16(pattern.centroids()[s as usize] * scale_mag)
-        }
-    }));
-    for _ in values.len()..meta.group_size {
-        values.push(ecco_numerics::round_f16(zero_centroid * scale_mag));
-    }
-
-    if scratch.symbols.len() == meta.group_size {
-        let n_out = (BLOCK_BITS - stats.end_bit) / 15;
-        let mut or = block.reader();
-        or.seek(stats.end_bit);
-        for _ in 0..n_out {
-            let pos = or.read_bits(7).expect("outlier fits") as usize;
-            let f8 = F8E4M3::from_bits(or.read_bits(8).expect("outlier fits") as u8);
-            if pos < meta.group_size && !f8.is_nan() {
-                values[pos] = ecco_numerics::round_f16(meta.tensor_scale.expand(f8.to_f32()));
-            }
-        }
-    }
-    Ok(stats)
-}
-
-/// Decodes a whole tensor's worth of blocks through the hardware parallel
-/// decoder model across a thread pool — the rebgzf-style multi-block
-/// pipeline, hardware-model flavour. Runs on the shared sharded driver
-/// ([`ecco_core::parallel::decode_blocks_parallel_with`]); every worker
-/// runs the fused [`decode_block_parallel_into`] (block-at-a-time window
-/// fill, decode-to-values walk) appending straight into its chunk
-/// buffer — no symbol scratch, no per-block value copy. Output is
-/// bit-identical to decoding each block with [`decode_block_parallel`]
-/// in order (and hence to `ecco_core::decode_groups_parallel`).
-///
-/// # Errors
-///
-/// Returns the first [`DecodeError`] in block order.
-pub fn decode_blocks_parallel(
-    blocks: &[Block64],
-    meta: &TensorMetadata,
-) -> Result<Vec<f32>, DecodeError> {
-    ecco_core::parallel::decode_blocks_parallel_with(
-        blocks,
-        meta.group_size,
-        || (),
-        |(), b, out| {
-            decode_block_parallel_into(b, meta, out)?;
-            Ok(())
-        },
-    )
-}
-
-/// Decodes **many tensors' block arrays in one pool pass** through the
-/// hardware parallel-decoder model — the batched submission twin of
-/// [`decode_blocks_parallel`], built on
-/// [`ecco_core::parallel::decode_tensors_batch_with`]. Every tensor's
-/// chunks enter the shared persistent pool together, so concurrent
-/// serving requests share decode lanes instead of queueing whole
-/// pipelines behind each other (the paper's many-blocks-in-flight
-/// regime, lifted to many tensors).
-///
-/// `batch` pairs each tensor's blocks with the metadata view to decode
-/// them under (per-tensor scales differ; patterns/books are typically
-/// shared). Per-tensor results are bit-identical to
-/// [`decode_blocks_parallel`] run per tensor, and failures stay
-/// isolated: a corrupted block — or a panicking worker task — yields
-/// that tensor's first [`DecodeError`] in block order while the rest of
-/// the batch decodes normally.
-pub fn decode_tensors_batch(
-    batch: &[(&[Block64], &TensorMetadata)],
-) -> Vec<Result<Vec<f32>, DecodeError>> {
-    let group_size = batch.first().map_or(0, |(_, m)| m.group_size);
-    debug_assert!(
-        batch.iter().all(|(_, m)| m.group_size == group_size),
-        "mixed group sizes in one batch"
-    );
-    let blocks: Vec<&[Block64]> = batch.iter().map(|&(b, _)| b).collect();
-    ecco_core::parallel::decode_tensors_batch_with(
-        &blocks,
-        group_size,
-        || (),
-        |(), ti, b, out| {
-            decode_block_parallel_into(b, batch[ti].1, out)?;
-            Ok(())
-        },
-    )
-}
-
-/// Skip-and-continue batched decode through the hardware model: like
-/// [`decode_tensors_batch`], but returns a per-tensor
-/// [`BatchOutcome`](ecco_core::BatchOutcome) report instead of failing a
-/// tensor's slot at its first corrupt block. Under
-/// [`RecoveryPolicy::SalvageBlocks`](ecco_core::RecoveryPolicy) only the
-/// corrupt blocks' groups are zero-filled, each reported with its located
-/// error; healthy tensors stay bit-identical to
-/// [`decode_blocks_parallel`] run per tensor.
-pub fn decode_tensors_batch_report(
-    batch: &[(&[Block64], &TensorMetadata)],
-    policy: ecco_core::RecoveryPolicy,
-) -> Vec<ecco_core::BatchOutcome> {
-    let group_size = batch.first().map_or(0, |(_, m)| m.group_size);
-    debug_assert!(
-        batch.iter().all(|(_, m)| m.group_size == group_size),
-        "mixed group sizes in one batch"
-    );
-    let blocks: Vec<&[Block64]> = batch.iter().map(|&(b, _)| b).collect();
-    ecco_core::parallel::decode_tensors_batch_report_with(
-        &blocks,
-        group_size,
-        policy,
-        || (),
-        |(), ti, b, out| {
-            decode_block_parallel_into(b, batch[ti].1, out)?;
-            Ok(())
-        },
-    )
+    let mut symbols = Vec::with_capacity(meta.group_size);
+    let (_, stats) = decode_group_with(block, meta, &mut values, |book, r, max, table, out| {
+        let stats = ParallelDecoder::new(book).decode_into(block, r.bit_pos(), max, &mut symbols);
+        out.extend(symbols.iter().map(|&s| table.value(s)));
+        r.seek(stats.end_bit);
+        stats
+    })?;
+    let result = ParallelDecodeResult {
+        symbols,
+        end_bit: stats.end_bit,
+        merge_stages: stats.merge_stages,
+        sub_decoder_ops: stats.sub_decoder_ops,
+    };
+    Ok((values, result))
 }
 
 /// The seed implementation of the speculative decoder, preserved
@@ -813,118 +532,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_pipeline_matches_per_block_decode() {
-        let t = SynthSpec::for_kind(TensorKind::Weight, 16, 512)
-            .seeded(105)
-            .generate();
-        let meta = meta_for(&t);
-        let blocks: Vec<Block64> = t
-            .groups(128)
-            .map(|g| encode_group(g, &meta, PatternSelector::MseOptimal).0)
-            .collect();
-        let batched = decode_blocks_parallel(&blocks, &meta).unwrap();
-        let mut reference = Vec::new();
-        for b in &blocks {
-            reference.extend(decode_block_parallel(b, &meta).unwrap().0);
-        }
-        assert_eq!(batched, reference);
-        assert_eq!(
-            batched,
-            ecco_core::decode_groups_parallel(&blocks, &meta).unwrap()
-        );
-    }
-
-    #[test]
-    fn tensors_batch_matches_per_tensor_pipeline_and_isolates_errors() {
-        let metas_and_blocks: Vec<(TensorMetadata, Vec<Block64>)> = (0..3)
-            .map(|i| {
-                let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512)
-                    .seeded(200 + i)
-                    .generate();
-                let meta = meta_for(&t);
-                let blocks = t
-                    .groups(128)
-                    .map(|g| encode_group(g, &meta, PatternSelector::MseOptimal).0)
-                    .collect();
-                (meta, blocks)
-            })
-            .collect();
-        let batch: Vec<(&[Block64], &TensorMetadata)> =
-            metas_and_blocks.iter().map(|(m, b)| (&b[..], m)).collect();
-        let results = decode_tensors_batch(&batch);
-        for ((meta, blocks), r) in metas_and_blocks.iter().zip(&results) {
-            assert_eq!(
-                r.as_ref().unwrap(),
-                &decode_blocks_parallel(blocks, meta).unwrap(),
-                "batch diverged from the per-tensor pipeline"
-            );
-        }
-
-        // Corrupt one tensor: only its slot errors, with the same error
-        // the per-block decoder reports first.
-        let (meta0, blocks0) = &metas_and_blocks[0];
-        let mut poisoned = blocks0.clone();
-        poisoned[1] = Block64::from_bytes([0xFF; 64]);
-        let want_err = decode_block_parallel(&poisoned[1], meta0).unwrap_err();
-        let mixed = decode_tensors_batch(&[
-            (&blocks0[..], meta0),
-            (&poisoned[..], meta0),
-            (&blocks0[..], meta0),
-        ]);
-        assert!(mixed[0].is_ok() && mixed[2].is_ok());
-        let got = mixed[1].as_ref().unwrap_err();
-        assert_eq!(got.kind, want_err.kind);
-        assert_eq!(
-            (got.tensor, got.block),
-            (Some(1), Some(1)),
-            "batch error must locate the bad tensor and block"
-        );
-
-        // The report API: salvage zero-fills only the bad block.
-        let report = decode_tensors_batch_report(
-            &[(&blocks0[..], meta0), (&poisoned[..], meta0)],
-            ecco_core::RecoveryPolicy::SalvageBlocks,
-        );
-        let healthy = decode_blocks_parallel(blocks0, meta0).unwrap();
-        assert_eq!(report[0].values().unwrap(), &healthy);
-        match &report[1] {
-            ecco_core::BatchOutcome::Salvaged { values, bad_blocks } => {
-                let gs = meta0.group_size;
-                let mut want = healthy.clone();
-                want[gs..2 * gs].fill(0.0);
-                assert_eq!(values, &want);
-                assert_eq!(bad_blocks.len(), 1);
-                assert_eq!(
-                    (bad_blocks[0].tensor, bad_blocks[0].block),
-                    (Some(1), Some(1))
-                );
-            }
-            other => panic!("expected salvage, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn decode_into_reuses_buffers() {
-        let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512)
-            .seeded(104)
-            .generate();
-        let meta = meta_for(&t);
-        let mut scratch = DecodeScratch::default();
-        let mut two_pass = Vec::new();
-        let mut fused = Vec::new();
-        for g in t.groups(128) {
-            let (block, _) = encode_group(g, &meta, PatternSelector::MseOptimal);
-            let (seq, _) = ecco_core::decode_group(&block, &meta).unwrap();
-            decode_block_parallel_two_pass(&block, &meta, &mut scratch, &mut two_pass).unwrap();
-            assert_eq!(seq, two_pass);
-            // The fused walk appends; it must agree block for block.
-            let before = fused.len();
-            decode_block_parallel_into(&block, &meta, &mut fused).unwrap();
-            assert_eq!(&seq[..], &fused[before..]);
-        }
-    }
-
     /// Sequential reference decode over raw symbol streams: the plain
     /// `decode_symbol` loop the parallel decoder must be bit-exact with.
     fn sequential_symbols(
@@ -963,13 +570,9 @@ mod tests {
             let t = SynthSpec::for_kind(TensorKind::KCache, 4, 512).seeded(seed).generate();
             let meta = meta_for(&t);
             let host_tier = ecco_bits::window_dispatch();
-            let mut blocks = Vec::new();
-            let mut seq_all = Vec::new();
             for g in t.groups(128) {
                 let (block, _) = encode_group(g, &meta, PatternSelector::MinMax);
                 let (seq, _) = ecco_core::decode_group(&block, &meta).unwrap();
-                blocks.push(block);
-                seq_all.extend_from_slice(&seq);
                 let header = ecco_core::block::parse_block_header(&block, &meta).unwrap();
                 let oracle = seed_port::decode(
                     &meta.books[header.kp][header.book_id],
@@ -990,48 +593,7 @@ mod tests {
                 prop_assert_eq!(&seq, &par_s, "forced-scalar arm diverged from sequential");
                 prop_assert_eq!(&pres_s.symbols, &oracle.symbols, "forced-scalar arm diverged from seed port");
                 prop_assert_eq!(pres_s.end_bit, oracle.end_bit);
-                // Fused decode-to-values walk, both arms: bit-identical
-                // to the two-pass output above.
-                for tier in [host_tier, ecco_bits::WindowDispatch::Portable] {
-                    ecco_bits::set_window_dispatch(tier);
-                    let mut fused = Vec::new();
-                    let fres = decode_block_parallel_into(&block, &meta, &mut fused);
-                    ecco_bits::set_window_dispatch(host_tier);
-                    prop_assert_eq!(fres.unwrap().end_bit, oracle.end_bit);
-                    prop_assert_eq!(&seq, &fused, "fused arm diverged from two-pass");
-                }
             }
-
-            // Pool layer: the sharded pipeline and the batched
-            // multi-tensor submission must reproduce the sequential
-            // concatenation bit-for-bit under an injected pool (varied
-            // executor count, ragged chunk pin), on both dispatch arms.
-            let threads = [1usize, 2, 4, 8][(seed % 4) as usize];
-            let chunk = 1 + (seed % 7) as usize;
-            let pool = ecco_core::pool::PoolBuilder::new()
-                .threads(threads)
-                .chunk(chunk)
-                .build();
-            ecco_core::pool::with_pool(&pool, || {
-                let sharded = decode_blocks_parallel(&blocks, &meta).unwrap();
-                assert_eq!(sharded, seq_all, "sharded pipeline diverged under pool");
-                let batch =
-                    decode_tensors_batch(&[(&blocks[..], &meta), (&blocks[..1], &meta)]);
-                assert_eq!(batch[0].as_ref().unwrap(), &seq_all, "batch arm diverged");
-                assert_eq!(
-                    batch[1].as_ref().unwrap(),
-                    &seq_all[..meta.group_size],
-                    "sub-batch diverged"
-                );
-                ecco_bits::set_window_dispatch(ecco_bits::WindowDispatch::Portable);
-                let scalar_batch = decode_tensors_batch(&[(&blocks[..], &meta)]);
-                ecco_bits::set_window_dispatch(host_tier);
-                assert_eq!(
-                    scalar_batch[0].as_ref().unwrap(),
-                    &seq_all,
-                    "forced-scalar batch arm diverged"
-                );
-            });
         }
 
         /// Differential fuzz: random 2..=8-bit codebooks × random raw
@@ -1062,47 +624,6 @@ mod tests {
             prop_assert_eq!(seed.end_bit, want_end);
             prop_assert_eq!(seed.merge_stages, got.merge_stages);
             prop_assert_eq!(seed.sub_decoder_ops, got.sub_decoder_ops);
-        }
-
-        /// The fused decode-to-values walk against the symbol walk plus a
-        /// manual table gather, on fuzzed books × raw blocks × both
-        /// dispatch arms — including garbage windows that terminate
-        /// early, a nonzero append base, and a fuzzed block scale.
-        #[test]
-        fn fused_walk_matches_symbol_walk_on_fuzzed_books(
-            freqs in prop::collection::vec(0u64..5000, 2..=16),
-            bytes in prop::collection::vec(any::<u8>(), 64),
-            start in 0usize..64,
-            max in 1usize..160,
-            scale in -4.0f32..4.0,
-        ) {
-            let book = Codebook::from_frequencies(&freqs, 2, 8).unwrap();
-            let mut raw = [0u8; 64];
-            raw.copy_from_slice(&bytes);
-            let block = Block64::from_bytes(raw);
-            // A calibrated pattern supplies a real centroid table.
-            let t = SynthSpec::for_kind(TensorKind::Weight, 1, 128).seeded(7).generate();
-            let meta = meta_for(&t);
-            let table = ecco_core::BlockValueTable::new(&meta.patterns[0], scale);
-
-            let decoder = ParallelDecoder::new(&book);
-            let mut symbols = Vec::new();
-            let sym_stats = decoder.decode_into(&block, start, max, &mut symbols);
-            let want: Vec<f32> = symbols.iter().map(|&s| table.value(s)).collect();
-
-            let host_tier = ecco_bits::window_dispatch();
-            for tier in [host_tier, ecco_bits::WindowDispatch::Portable] {
-                ecco_bits::set_window_dispatch(tier);
-                // Nonzero base pins the append (not clear) contract.
-                let mut fused = vec![9.0f32; 3];
-                let stats = decoder.decode_values_into(&block, start, max, &table, &mut fused);
-                ecco_bits::set_window_dispatch(host_tier);
-                prop_assert_eq!(&fused[..3], &[9.0f32; 3][..], "fused walk must append");
-                prop_assert_eq!(&fused[3..], &want[..], "fused walk diverged on {:?}", tier);
-                prop_assert_eq!(stats.end_bit, sym_stats.end_bit);
-                prop_assert_eq!(stats.merge_stages, sym_stats.merge_stages);
-                prop_assert_eq!(stats.sub_decoder_ops, sym_stats.sub_decoder_ops);
-            }
         }
 
         /// Valid encoded streams (not just garbage): encode random symbols

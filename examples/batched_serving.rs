@@ -62,26 +62,17 @@ fn main() {
         assert_eq!(a.blocks(), b.blocks(), "batch must be bit-identical");
     }
 
-    // Decode side through the hardware parallel-decoder model, batched.
-    let metas: Vec<TensorMetadata> = batched
-        .iter()
-        .map(|(ct, _)| codec.metadata().with_scale(ct.tensor_scale()))
-        .collect();
-    let hw_batch: Vec<(&[Block64], &TensorMetadata)> = batched
-        .iter()
-        .zip(&metas)
-        .map(|((ct, _), m)| (ct.blocks(), m))
-        .collect();
+    // Decode side: every request's blocks in one batched pool pass.
+    let cts: Vec<_> = batched.iter().map(|(ct, _)| ct).collect();
     let t0 = std::time::Instant::now();
-    let decoded = ecco::hw::decode_tensors_batch(&hw_batch);
+    let decoded = codec.decompress_batch(&cts);
     let batch_dec = t0.elapsed();
 
     let mut worst_nmse = 0.0f64;
     for (r, t) in decoded.iter().zip(&segments) {
-        let vals = r.as_ref().expect("healthy request decodes");
-        assert_eq!(vals.len(), t.len());
-        let out = Tensor::from_vec(t.rows(), t.cols(), vals.clone());
-        worst_nmse = worst_nmse.max(ecco::tensor::stats::nmse(t, &out) as f64);
+        let out = r.as_ref().expect("healthy request decodes");
+        assert_eq!(out.len(), t.len());
+        worst_nmse = worst_nmse.max(ecco::tensor::stats::nmse(t, out) as f64);
     }
 
     let syms = (requests * rows * cols) as f64;
@@ -96,10 +87,8 @@ fn main() {
     );
 
     // Failure isolation: a request with a corrupted segment fails alone.
-    let garbage: Vec<Block64> = (0..hw_batch[0].0.len())
-        .map(|_| Block64::from_bytes([0xFF; 64]))
-        .collect();
-    let mixed = ecco::hw::decode_tensors_batch(&[hw_batch[0], (&garbage, &metas[0]), hw_batch[1]]);
+    let garbage = cts[0].with_blocks(vec![Block64::from_bytes([0xFF; 64]); cts[0].blocks().len()]);
+    let mixed = codec.decompress_batch(&[cts[0], &garbage, cts[1]]);
     assert!(mixed[0].is_ok() && mixed[2].is_ok());
     println!(
         "corrupted request isolated: slot 1 -> {:?}, neighbours decode clean",

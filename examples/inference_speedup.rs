@@ -49,8 +49,8 @@ fn main() {
     );
 
     // And the software pipeline actually moving blocks: compress one
-    // weight tensor through the rayon multi-block codec pipeline, then
-    // decode it back through the table-driven parallel-decoder model.
+    // weight tensor through the multi-block codec pipeline, then decode
+    // it back through the pooled decode pipeline.
     let t = SynthSpec::for_kind(TensorKind::Weight, 128, 1024)
         .seeded(42)
         .generate();
@@ -64,16 +64,15 @@ fn main() {
     let t0 = std::time::Instant::now();
     let (ct, stats) = codec.compress_parallel(&t);
     let enc = t0.elapsed();
-    let meta = codec.metadata().with_scale(ct.tensor_scale());
     let t0 = std::time::Instant::now();
-    let decoded = ecco::hw::decode_blocks_parallel(ct.blocks(), &meta).expect("valid blocks");
+    let decoded = codec.decompress_parallel(&ct);
     let dec = t0.elapsed();
     assert_eq!(decoded.len(), t.len());
 
     let syms = t.len() as f64;
     println!(
         "\ncodec pipeline ({} threads): {} blocks | encode {:.1} Msym/s | \
-         decode {:.1} Msym/s (parallel-decoder model) | NMSE {:.2e}",
+         decode {:.1} Msym/s | NMSE {:.2e}",
         ecco::codec::parallel::worker_threads(),
         ct.blocks().len(),
         syms / enc.as_secs_f64() / 1e6,

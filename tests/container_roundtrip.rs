@@ -6,8 +6,9 @@
 
 use std::path::PathBuf;
 
-use ecco::codec::{EccoConfig, WeightCodec};
-use ecco::container::{write_model, Container, ContainerError};
+use ecco::bits::Block64;
+use ecco::codec::{EccoConfig, RecoveryPolicy, WeightCodec};
+use ecco::container::{encode_model, write_model, Container, ContainerError};
 use ecco::prelude::*;
 
 const LAYERS: usize = 8;
@@ -136,6 +137,35 @@ fn pread_backend_roundtrips() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A container load is the codec's batch decode of the same frames:
+/// `load_report` must equal `WeightCodec::decompress_batch_report`
+/// outcome for outcome, under both recovery policies, on pools {1, 4}.
+fn check_report_matches_codec(m: &Model, container: &Container) {
+    let names: Vec<&str> = container.tensor_names().collect();
+    let frames: Vec<_> = names
+        .iter()
+        .map(|n| container.read_compressed(n).unwrap())
+        .collect();
+    let refs: Vec<_> = frames.iter().collect();
+    for policy in [RecoveryPolicy::FailTensor, RecoveryPolicy::SalvageBlocks] {
+        for threads in [1usize, 4] {
+            let pool = PoolBuilder::new().threads(threads).build();
+            let (slots, want) = with_pool(&pool, || {
+                let slots = container.load_report(&names, policy).unwrap();
+                (slots, m.codec.decompress_batch_report(&refs, policy))
+            });
+            for ((slot, want), ct) in slots.iter().zip(&want).zip(&frames) {
+                assert_eq!(
+                    &slot.outcome, want,
+                    "{policy:?} pool {threads}: {}",
+                    slot.name
+                );
+                assert_eq!((slot.rows, slot.cols), (ct.rows(), ct.cols()));
+            }
+        }
+    }
+}
+
 #[test]
 fn bytes_backend_roundtrips() {
     let m = model();
@@ -145,6 +175,35 @@ fn bytes_backend_roundtrips() {
     let container = Container::from_bytes(image).unwrap();
     assert_eq!(container.backend(), "bytes");
     check_loads(&m, &container);
+    check_report_matches_codec(&m, &container);
+
+    // A frame whose CRC was sealed over a corrupt block passes the
+    // checksum, so the corruption reaches the decoder: it must fail or
+    // salvage exactly as the codec does on the same frame.
+    let mut blocks = m.compressed[3].blocks().to_vec();
+    blocks[1] = Block64::from_bytes([0xFF; 64]);
+    let corrupt = m.compressed[3].with_blocks(blocks);
+    let pairs: Vec<(&str, &ecco::codec::CompressedTensor)> = m
+        .names
+        .iter()
+        .map(String::as_str)
+        .zip(m.compressed.iter())
+        .enumerate()
+        .map(|(i, (n, ct))| (n, if i == 3 { &corrupt } else { ct }))
+        .collect();
+    let resealed = Container::from_bytes(encode_model(m.codec.metadata(), &pairs)).unwrap();
+    let salvaged = resealed
+        .load_report(&[pairs[3].0], RecoveryPolicy::SalvageBlocks)
+        .unwrap();
+    assert!(
+        matches!(
+            salvaged[0].outcome,
+            ecco::codec::BatchOutcome::Salvaged { .. }
+        ),
+        "the corrupt block must reach the decoder: {:?}",
+        salvaged[0].outcome
+    );
+    check_report_matches_codec(&m, &resealed);
 }
 
 #[test]

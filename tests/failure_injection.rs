@@ -5,9 +5,31 @@ use ecco::bits::{
     set_window_dispatch, window_dispatch, BitWriter, Block64, WindowDispatch, BLOCK_BITS,
 };
 use ecco::codec::block::DecodeErrorKind;
-use ecco::codec::{decode_group, encode_group};
-use ecco::hw::{decode_block_parallel, decode_blocks_parallel};
+use ecco::codec::parallel::{
+    decode_tensors_batch_report_with, decode_tensors_batch_with, BatchOutcome, RecoveryPolicy,
+};
+use ecco::codec::{decode_group, decode_group_into, decode_groups_parallel, encode_group};
+use ecco::hw::decode_block_parallel;
 use ecco::prelude::*;
+
+/// Asserts the hardware oracle agrees with the sequential decoder on
+/// every block, on both window-dispatch arms: identical values on
+/// success, identical errors otherwise.
+fn assert_hw_matches_per_block(blocks: &[Block64], meta: &TensorMetadata) {
+    let host_tier = window_dispatch();
+    for tier in [host_tier, WindowDispatch::Portable] {
+        set_window_dispatch(tier);
+        let hw: Vec<_> = blocks
+            .iter()
+            .map(|b| decode_block_parallel(b, meta).map(|(v, _)| v))
+            .collect();
+        set_window_dispatch(host_tier);
+        for (i, (b, hw)) in blocks.iter().zip(hw).enumerate() {
+            let seq = decode_group(b, meta).map(|(v, _)| v);
+            assert_eq!(hw, seq, "block {i} diverged on the {tier:?} arm");
+        }
+    }
+}
 
 fn test_meta() -> (TensorMetadata, Tensor) {
     let t = SynthSpec::for_kind(TensorKind::Weight, 16, 1024)
@@ -105,12 +127,12 @@ fn random_blocks_fuzz_both_decoders() {
 
 #[test]
 fn batched_pipeline_survives_truncated_and_garbage_blocks() {
-    // Drive adversarial blocks through the *batched* sharded path
-    // (windows8 extraction + gathered LUT probes per worker run), on
-    // both dispatch arms: truncated header-only blocks, zero/one fill,
-    // and pseudo-random garbage. The pipeline must never panic, must
-    // report the first per-block error in order, and on decodable sets
-    // must be bit-identical to per-block decoding.
+    // Drive adversarial blocks through the sharded decode pipeline:
+    // truncated header-only blocks, zero/one fill, and pseudo-random
+    // garbage. The pipeline must never panic, must report the first
+    // per-block error in order, and on decodable sets must be
+    // bit-identical to per-block decoding — which the hardware oracle
+    // reproduces on both window-dispatch arms.
     let (meta, _) = test_meta();
 
     // Truncated block: valid header, zero symbol data (the encoder's
@@ -146,22 +168,18 @@ fn batched_pipeline_survives_truncated_and_garbage_blocks() {
 
     let mut reference = Vec::new();
     for b in &decodable {
-        reference.extend(decode_block_parallel(b, &meta).unwrap().0);
+        reference.extend(decode_group(b, &meta).unwrap().0);
     }
-    let host_tier = window_dispatch();
-    let batched = decode_blocks_parallel(&decodable, &meta).unwrap();
-    set_window_dispatch(WindowDispatch::Portable);
-    let scalar = decode_blocks_parallel(&decodable, &meta);
-    set_window_dispatch(host_tier);
+    let batched = decode_groups_parallel(&decodable, &meta).unwrap();
     assert_eq!(batched, reference, "batched pipeline diverged on garbage");
-    assert_eq!(scalar.unwrap(), reference, "forced-scalar arm diverged");
+    assert_hw_matches_per_block(&candidates, &meta);
 
     // A batch containing a corrupted header must surface that block's
     // error, exactly as the sequential loop would — now located at the
     // block's index in the batch.
     if let Some(bad) = candidates.iter().find(|b| decode_group(b, &meta).is_err()) {
         let mixed = vec![decodable[0], *bad, decodable[1]];
-        let got = decode_blocks_parallel(&mixed, &meta).unwrap_err();
+        let got = decode_groups_parallel(&mixed, &meta).unwrap_err();
         assert_eq!(got.kind, decode_group(bad, &meta).unwrap_err().kind);
         assert_eq!(got.block, Some(1), "error must locate the corrupt block");
     }
@@ -173,9 +191,10 @@ fn batched_submission_isolates_injected_failures_per_tensor() {
     // the single-pipeline test above: truncated (header-only) and
     // garbage blocks are injected into *some* tensors of a batch, and
     // each slot must fail or succeed exactly as its own per-block loop
-    // would — on both window-dispatch arms. No panic may escape, and
-    // healthy tensors must decode bit-identically to the sequential
-    // reference regardless of their neighbours.
+    // would — a loop the hardware oracle reproduces on both
+    // window-dispatch arms. No panic may escape, and healthy tensors
+    // must decode bit-identically to the sequential reference
+    // regardless of their neighbours.
     let (meta, t) = test_meta();
     let good: Vec<Block64> = t
         .groups(128)
@@ -206,28 +225,23 @@ fn batched_submission_isolates_injected_failures_per_tensor() {
         .flat_map(|b| decode_group(b, &meta).unwrap().0)
         .collect();
 
-    let host_tier = window_dispatch();
-    for force_scalar in [false, true] {
-        if force_scalar {
-            set_window_dispatch(WindowDispatch::Portable);
-        }
-        let results = ecco::hw::decode_tensors_batch(&[
-            (&good, &meta),
-            (&with_garbage, &meta),
-            (&with_truncated, &meta),
-            (&good, &meta),
-        ]);
-        set_window_dispatch(host_tier);
-        assert_eq!(results[0].as_ref().unwrap(), &reference);
-        let got = results[1].as_ref().unwrap_err();
-        assert_eq!(got.kind, want_err.kind);
-        assert_eq!(
-            (got.tensor, got.block),
-            (Some(1), Some(2)),
-            "batch error must locate the garbage block (scalar={force_scalar})"
-        );
-        assert_eq!(results[2].as_ref().unwrap(), &truncated_reference);
-        assert_eq!(results[3].as_ref().unwrap(), &reference);
+    let results = decode_tensors_batch_with(
+        &[&good, &with_garbage, &with_truncated, &good],
+        meta.group_size,
+        |_, b, out| decode_group_into(b, &meta, out).map(|_| ()),
+    );
+    assert_eq!(results[0].as_ref().unwrap(), &reference);
+    let got = results[1].as_ref().unwrap_err();
+    assert_eq!(got.kind, want_err.kind);
+    assert_eq!(
+        (got.tensor, got.block),
+        (Some(1), Some(2)),
+        "batch error must locate the garbage block"
+    );
+    assert_eq!(results[2].as_ref().unwrap(), &truncated_reference);
+    assert_eq!(results[3].as_ref().unwrap(), &reference);
+    for blocks in [&with_garbage, &with_truncated] {
+        assert_hw_matches_per_block(blocks, &meta);
     }
 }
 
@@ -298,7 +312,7 @@ fn cross_block_corruption_is_located_at_the_right_block() {
     }
 
     // Fail-fast pipeline: first corrupt block in block order.
-    let err = decode_blocks_parallel(&corrupted, &meta).unwrap_err();
+    let err = decode_groups_parallel(&corrupted, &meta).unwrap_err();
     assert_eq!(err.block, Some(3), "first corrupt block is index 3");
     assert_eq!(
         err.kind,
@@ -306,9 +320,11 @@ fn cross_block_corruption_is_located_at_the_right_block() {
     );
 
     // Salvage report: all three named, in block order, others intact.
-    let report = ecco::hw::decode_tensors_batch_report(
-        &[(&corrupted, &meta), (&good, &meta)],
-        ecco::codec::parallel::RecoveryPolicy::SalvageBlocks,
+    let report = decode_tensors_batch_report_with(
+        &[&corrupted, &good],
+        meta.group_size,
+        RecoveryPolicy::SalvageBlocks,
+        |_, b, out| decode_group_into(b, &meta, out).map(|_| ()),
     );
     let healthy: Vec<f32> = good
         .iter()
@@ -316,7 +332,7 @@ fn cross_block_corruption_is_located_at_the_right_block() {
         .collect();
     assert_eq!(report[1].values().unwrap(), &healthy);
     match &report[0] {
-        ecco::codec::parallel::BatchOutcome::Salvaged { values, bad_blocks } => {
+        BatchOutcome::Salvaged { values, bad_blocks } => {
             let located: Vec<Option<usize>> = bad_blocks.iter().map(|e| e.block).collect();
             assert_eq!(located, vec![Some(3), Some(7), Some(9)]);
             assert!(bad_blocks.iter().all(|e| e.tensor == Some(0)));

@@ -10,9 +10,11 @@
 //!   [`DecodeError`], whatever the mutation;
 //! * **located errors**: truncations and corrupt blocks are reported at
 //!   the right tensor/block index;
-//! * **arm agreement**: the sequential reference decoder and the
-//!   hardware parallel decoder return the same values *and the same
-//!   errors* on corrupt input, across pool sizes {1, 4}.
+//! * **arm agreement**: the fused production decoder, the two-pass
+//!   reference and the hardware parallel oracle return the same values
+//!   *and the same errors* on corrupt input, block for block on both
+//!   window-dispatch arms, and core's pooled and batched drivers
+//!   reproduce them across pool sizes {1, 4}.
 //!
 //! The vendored proptest honours `PROPTEST_CASES` (the CI fuzz-smoke leg
 //! raises it to 256+ under both `ECCO_THREADS=1` and `ECCO_THREADS=4`,
@@ -23,16 +25,19 @@
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
-use ecco::bits::{Block64, BLOCK_BYTES};
+use ecco::bits::{set_window_dispatch, window_dispatch, Block64, WindowDispatch, BLOCK_BYTES};
 use ecco::codec::block::{
-    decode_group, decode_group_two_pass, parse_block_header, DecodeError, DecodeErrorKind,
+    decode_group, decode_group_into, decode_group_two_pass, parse_block_header, DecodeError,
+    DecodeErrorKind,
 };
-use ecco::codec::parallel::RecoveryPolicy;
+use ecco::codec::decode_groups_parallel;
+use ecco::codec::parallel::{decode_tensors_batch_with, RecoveryPolicy};
 use ecco::codec::wire::{
     decode_metadata, decode_tensor, encode_metadata, encode_tensor, METADATA_MAGIC,
 };
 use ecco::codec::{BatchOutcome, CompressedTensor, EccoConfig, TensorMetadata, WeightCodec};
 use ecco::container::{crc32, encode_model, Container, ContainerError, FOOTER_BYTES};
+use ecco::hw::{decode_block_parallel, paradec::seed_port};
 use ecco::prelude::*;
 use proptest::prelude::*;
 
@@ -134,28 +139,27 @@ fn decode_seq(blocks: &[Block64], meta: &TensorMetadata) -> Vec<Result<Vec<f32>,
         .collect()
 }
 
-/// Asserts the hardware parallel decoder agrees with the sequential
-/// reference on `blocks` — same values when healthy, same error kind
-/// located at the first failing block otherwise — on pools {1, 4}.
+/// Asserts every decoder arm agrees with the sequential reference on
+/// `blocks` — same values when healthy, same error kind (located at the
+/// first failing block) otherwise.
 ///
-/// The sequential reference is the *fused* decode-to-values walk
-/// ([`decode_group`]); it is first pinned bit-for-bit against the
-/// retired two-pass decoder ([`decode_group_two_pass`]) on every block,
-/// healthy or corrupt, so the whole mutated corpus exercises
-/// fused == two-pass (the walk itself is pinned against `seed_port` by
-/// the differential proptests in `ecco-hw::paradec`).
+/// The reference is the *fused* decode-to-values walk ([`decode_group`]).
+/// Block by block it is pinned bit-for-bit against the two-pass
+/// reference ([`decode_group_two_pass`]) and, on both window-dispatch arms,
+/// against the hardware oracle ([`decode_block_parallel`]) whose symbol
+/// stream must in turn equal the seed implementation's
+/// ([`seed_port::decode`]). Core's pooled and batched drivers must then
+/// reproduce the whole stream on pools {1, 4}.
 fn assert_arms_agree(
     blocks: &[Block64],
     meta: &TensorMetadata,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let seq = decode_seq(blocks, meta);
+    let host_tier = window_dispatch();
     for (i, (fused, b)) in seq.iter().zip(blocks).enumerate() {
         match (fused, decode_group_two_pass(b, meta)) {
             (Ok(f), Ok((t, _))) => {
-                prop_assert_eq!(f.len(), t.len(), "block {} fused length diverged", i);
-                for (a, b) in f.iter().zip(&t) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "block {} fused != two-pass", i);
-                }
+                prop_assert_eq!(bits(f), bits(&t), "block {} fused != two-pass", i)
             }
             (Err(a), Err(b)) => {
                 prop_assert_eq!(a.kind, b.kind, "block {} error kind diverged", i)
@@ -169,6 +173,35 @@ fn assert_arms_agree(
                 "block {i}: fused failed ({e}) where two-pass decoded"
             ),
         }
+        for tier in [host_tier, WindowDispatch::Portable] {
+            set_window_dispatch(tier);
+            let hw = decode_block_parallel(b, meta);
+            set_window_dispatch(host_tier);
+            match (fused, hw) {
+                (Ok(f), Ok((h, trace))) => {
+                    prop_assert_eq!(bits(f), bits(&h), "block {} hw != fused ({:?})", i, tier);
+                    let header = parse_block_header(b, meta).expect("block decoded");
+                    let book = &meta.books[header.kp][header.book_id];
+                    let oracle = seed_port::decode(book, b, header.data_start, meta.group_size);
+                    prop_assert_eq!(
+                        &trace.symbols,
+                        &oracle.symbols,
+                        "block {} hw != seed port",
+                        i
+                    );
+                    prop_assert_eq!(trace.end_bit, oracle.end_bit);
+                }
+                (Err(a), Err(b)) => {
+                    prop_assert_eq!(a.kind, b.kind, "block {} hw error kind diverged", i)
+                }
+                (a, b) => prop_assert!(
+                    false,
+                    "block {i}: hw and fused disagree on success: {:?} vs {:?}",
+                    a.as_ref().map(|_| ()),
+                    b.map(|_| ())
+                ),
+            }
+        }
     }
     let first_err = seq
         .iter()
@@ -176,30 +209,55 @@ fn assert_arms_agree(
         .find_map(|(i, r)| r.as_ref().err().map(|e| (i, e.kind)));
     for threads in [1usize, 4] {
         let pool = PoolBuilder::new().threads(threads).build();
-        let got = with_pool(&pool, || ecco::hw::decode_blocks_parallel(blocks, meta));
-        match (&first_err, got) {
-            (None, Ok(values)) => {
-                let want: Vec<f32> = seq
-                    .iter()
-                    .flat_map(|r| r.as_ref().unwrap().iter().copied())
-                    .collect();
-                prop_assert_eq!(values, want, "pool {} values diverged", threads);
+        let (pooled, batched) = with_pool(&pool, || {
+            let batched = decode_tensors_batch_with(&[blocks], meta.group_size, |_, b, out| {
+                decode_group_into(b, meta, out).map(|_| ())
+            });
+            (decode_groups_parallel(blocks, meta), batched)
+        });
+        for (arm, got) in [("pooled", pooled), ("batched", batched[0].clone())] {
+            match (&first_err, got) {
+                (None, Ok(values)) => {
+                    let want: Vec<f32> = seq
+                        .iter()
+                        .flat_map(|r| r.as_ref().unwrap().iter().copied())
+                        .collect();
+                    prop_assert_eq!(values, want, "pool {} {} values diverged", threads, arm);
+                }
+                (Some((i, kind)), Err(e)) => {
+                    prop_assert_eq!(
+                        e.kind,
+                        *kind,
+                        "pool {} {} error kind diverged",
+                        threads,
+                        arm
+                    );
+                    prop_assert_eq!(
+                        e.block,
+                        Some(*i),
+                        "pool {} {} error block diverged",
+                        threads,
+                        arm
+                    );
+                }
+                (None, Err(e)) => prop_assert!(
+                    false,
+                    "pool {threads} {arm}: failed ({e}) where sequential decoded"
+                ),
+                (Some((i, k)), Ok(_)) => prop_assert!(
+                    false,
+                    "pool {threads} {arm}: decoded where sequential failed at block {i} ({k:?})"
+                ),
             }
-            (Some((i, kind)), Err(e)) => {
-                prop_assert_eq!(e.kind, *kind, "pool {} error kind diverged", threads);
-                prop_assert_eq!(e.block, Some(*i), "pool {} error block diverged", threads);
-            }
-            (None, Err(e)) => prop_assert!(
-                false,
-                "pool {threads}: parallel failed ({e}) where sequential decoded"
-            ),
-            (Some((i, k)), Ok(_)) => prop_assert!(
-                false,
-                "pool {threads}: parallel decoded where sequential failed at block {i} ({k:?})"
-            ),
         }
     }
     Ok(())
+}
+
+/// The bit patterns of a value run, so signed zeros and NaN payloads
+/// compare exactly.
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 /// MSB-first bit set on a 64-byte block, mirroring the wire layout.
@@ -338,10 +396,10 @@ proptest! {
             .enumerate()
             .filter_map(|(i, r)| r.is_err().then_some(i))
             .collect();
-        let report = ecco::hw::decode_tensors_batch_report(
-            &[(&blocks[..], &fix.meta)],
-            RecoveryPolicy::SalvageBlocks,
-        );
+        let mutated = fix.ct.with_blocks(blocks.clone());
+        let report = fix
+            .codec
+            .decompress_batch_report(&[&mutated], RecoveryPolicy::SalvageBlocks);
         let gs = fix.meta.group_size;
         match &report[0] {
             BatchOutcome::Ok(values) => {
@@ -646,12 +704,9 @@ fn every_decode_error_kind_is_reachable_from_ingest() {
     ));
 
     // WorkerPanic: a panicking decode closure in the batch driver.
-    let results = ecco::codec::parallel::decode_tensors_batch_with(
-        &[fix.ct.blocks()],
-        meta.group_size,
-        || (),
-        |(), _, _, _| panic!("injected ingest panic"),
-    );
+    let results = decode_tensors_batch_with(&[fix.ct.blocks()], meta.group_size, |_, _, _| {
+        panic!("injected ingest panic")
+    });
     reach(*results[0].as_ref().unwrap_err());
 
     let missing: Vec<DecodeErrorKind> = DecodeErrorKind::ALL

@@ -1,13 +1,23 @@
 //! Root-package round-trip through the parallel codec APIs.
 //!
 //! Tier-1 verification (`cargo test -q` at the repo root) runs only this
-//! package's tests, so this file is what guarantees the batched decoder
-//! front end (`BlockCursor::windows8` + gathered `SegmentLut` probes)
-//! is exercised on every tier-1 run — on both dispatch arms — not just
-//! by the workspace CI run.
+//! package's tests, so this file is what guarantees the hardware
+//! oracle's batched decoder front end (`BlockCursor::windows_all` +
+//! gathered `SegmentLut` probes) is exercised on every tier-1 run — on
+//! both dispatch arms — not just by the workspace CI run.
 
-use ecco::bits::{set_window_dispatch, window_dispatch, WindowDispatch};
+use ecco::bits::{set_window_dispatch, window_dispatch, Block64, WindowDispatch};
+use ecco::codec::DecodeError;
 use ecco::prelude::*;
+
+/// Decodes a block stream block by block through the hardware oracle.
+fn hw_decode(blocks: &[Block64], meta: &TensorMetadata) -> Result<Vec<f32>, DecodeError> {
+    let mut out = Vec::with_capacity(blocks.len() * meta.group_size);
+    for b in blocks {
+        out.extend(ecco::hw::decode_block_parallel(b, meta)?.0);
+    }
+    Ok(out)
+}
 
 #[test]
 fn weight_roundtrip_through_parallel_codec_and_batched_decoder() {
@@ -31,9 +41,9 @@ fn weight_roundtrip_through_parallel_codec_and_batched_decoder() {
     // tier (SIMD where supported) and through the forced-scalar arm.
     let meta = codec.metadata().with_scale(ct.tensor_scale());
     let host_tier = window_dispatch();
-    let hw_batched = ecco::hw::decode_blocks_parallel(ct.blocks(), &meta).unwrap();
+    let hw_batched = hw_decode(ct.blocks(), &meta).unwrap();
     set_window_dispatch(WindowDispatch::Portable);
-    let hw_scalar = ecco::hw::decode_blocks_parallel(ct.blocks(), &meta);
+    let hw_scalar = hw_decode(ct.blocks(), &meta);
     set_window_dispatch(host_tier);
     assert_eq!(hw_batched, out.data(), "batched hw decode diverged");
     assert_eq!(
@@ -47,8 +57,9 @@ fn weight_roundtrip_through_parallel_codec_and_batched_decoder() {
 fn revived_metadata_decodes_through_batched_pipeline() {
     // Serde-style revival: rebuild_tables leaves every derived cache
     // (codebook decode LUTs, SegmentLuts, length/boundary tables) in the
-    // empty state deserialization produces; the batched parallel decode
-    // must self-heal them on first use and stay bit-identical.
+    // empty state deserialization produces; both the pooled production
+    // decode and the hardware oracle must self-heal them on first use
+    // and stay bit-identical.
     let t = SynthSpec::for_kind(TensorKind::KCache, 8, 512)
         .seeded(4002)
         .generate();
@@ -58,7 +69,11 @@ fn revived_metadata_decodes_through_batched_pipeline() {
 
     let mut revived = codec.metadata().with_scale(ct.tensor_scale());
     revived.rebuild_tables();
-    let vals = ecco::hw::decode_blocks_parallel(ct.blocks(), &revived)
+    let vals = ecco::codec::decode_groups_parallel(ct.blocks(), &revived)
         .expect("revived metadata must decode without a warm-up call");
     assert_eq!(vals, out.data());
+    // The production decode never builds the oracle's SegmentLuts, so
+    // they are still in their revived (empty) state here.
+    let hw_vals = hw_decode(ct.blocks(), &revived).expect("revived metadata decodes on the oracle");
+    assert_eq!(hw_vals, out.data());
 }

@@ -10,6 +10,7 @@
 
 use ecco::bits::Block64;
 use ecco::codec::block::DecodeErrorKind;
+use ecco::codec::parallel::decode_tensors_batch_with;
 use ecco::pool::{threads_from_env, with_pool, Pool, PoolBuilder};
 use ecco::prelude::*;
 
@@ -51,21 +52,19 @@ fn pool_scaling_bit_identical_and_batch_equals_loop() {
                 assert_eq!(out.data(), codec.decompress(want_ct).data());
             }
 
-            // The hardware model's batched submission reconstructs the
-            // identical values.
+            // The hardware oracle, driven as the decode closure of core's
+            // batched submission, reconstructs the identical values.
             let metas: Vec<TensorMetadata> = batch
                 .iter()
                 .map(|(ct, _)| codec.metadata().with_scale(ct.tensor_scale()))
                 .collect();
-            let hw_batch: Vec<(&[Block64], &TensorMetadata)> = batch
-                .iter()
-                .zip(&metas)
-                .map(|((ct, _), m)| (ct.blocks(), m))
-                .collect();
-            for (r, out) in ecco::hw::decode_tensors_batch(&hw_batch)
-                .into_iter()
-                .zip(&decompressed)
-            {
+            let blocks: Vec<&[Block64]> = batch.iter().map(|(ct, _)| ct.blocks()).collect();
+            let gs = codec.metadata().group_size;
+            let hw = decode_tensors_batch_with(&blocks, gs, |ti, b, out| {
+                out.extend(ecco::hw::decode_block_parallel(b, &metas[ti])?.0);
+                Ok(())
+            });
+            for (r, out) in hw.into_iter().zip(&decompressed) {
                 assert_eq!(r.unwrap(), out.data(), "hw batch diverged");
             }
         });
@@ -145,19 +144,18 @@ fn concurrent_batches_share_one_pool_with_failures_isolated() {
 
                         // Failure injection: garbage blocks in slot 1.
                         let (good, _) = &batch[0];
-                        let meta = codec.metadata().with_scale(good.tensor_scale());
-                        let garbage: Vec<Block64> = (0..good.blocks().len())
-                            .map(|_| Block64::from_bytes([0xFF; 64]))
-                            .collect();
-                        let mixed = ecco::hw::decode_tensors_batch(&[
-                            (good.blocks(), &meta),
-                            (&garbage, &meta),
-                            (good.blocks(), &meta),
+                        let garbage = good.with_blocks(vec![
+                            Block64::from_bytes([0xFF; 64]);
+                            good.blocks().len()
                         ]);
+                        let mixed = codec.decompress_batch(&[good, &garbage, good]);
                         assert!(mixed[0].is_ok(), "w{worker} r{round}: good slot 0 failed");
                         assert!(mixed[1].is_err(), "w{worker} r{round}: garbage decoded");
                         assert!(mixed[2].is_ok(), "w{worker} r{round}: good slot 2 failed");
-                        assert_eq!(mixed[0], mixed[2]);
+                        assert_eq!(
+                            mixed[0].as_ref().unwrap().data(),
+                            mixed[2].as_ref().unwrap().data()
+                        );
                     }
                 });
             });
@@ -182,19 +180,15 @@ fn worker_panic_poisons_only_its_batch_and_pool_survives() {
 
         // Inject a panic through the batch driver's decode closure.
         let blocks = ct.blocks();
-        let results = ecco::codec::parallel::decode_tensors_batch_with(
-            &[blocks, blocks, blocks],
-            meta.group_size,
-            || (),
-            |(), ti, b, out| {
+        let results =
+            decode_tensors_batch_with(&[blocks, blocks, blocks], meta.group_size, |ti, b, out| {
                 if ti == 1 {
                     panic!("injected decode panic");
                 }
                 let (v, _) = ecco::codec::decode_group(b, &meta)?;
                 out.extend_from_slice(&v);
                 Ok(())
-            },
-        );
+            });
         assert_eq!(results[0].as_ref().unwrap(), seq.data());
         let e = results[1].as_ref().unwrap_err();
         assert_eq!(e.kind, DecodeErrorKind::WorkerPanic);
