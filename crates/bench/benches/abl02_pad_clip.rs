@@ -18,11 +18,11 @@ fn main() {
         let (full, stats) = codec.roundtrip(&t);
 
         // Padding disabled: same patterns/books, zero-filled leftovers.
-        let meta = codec.metadata().with_scale(TensorMetadata::scale_for(&t));
+        let (meta, scale) = (codec.metadata(), TensorMetadata::scale_for(&t));
         let mut data = Vec::with_capacity(t.len());
         for g in t.groups(128) {
-            let (b, _) = encode_group_unpadded(g, &meta, PatternSelector::MseOptimal);
-            let (vals, _) = decode_group(&b, &meta).expect("own block");
+            let (b, _) = encode_group_unpadded(g, meta, scale, PatternSelector::MseOptimal);
+            let (vals, _) = decode_group(&b, meta, scale).expect("own block");
             data.extend_from_slice(&vals);
         }
         let unpadded = Tensor::from_vec(t.rows(), t.cols(), data);

@@ -44,7 +44,7 @@
 //!   `encoded_len`-per-book baseline,
 //! * `encode` — full `encode_group_scratch` and the parallel encode
 //!   pipeline,
-//! * `calibration` — rayon-parallel `TensorMetadata::calibrate` vs the
+//! * `calibration` — pool-parallel `TensorMetadata::calibrate` vs the
 //!   pinned sequential reference `calibrate_weighted_seq`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -77,20 +77,21 @@ fn bench(c: &mut Criterion) {
         ..EccoConfig::default()
     };
     let meta = TensorMetadata::calibrate(&[&t], &cfg, PatternSelector::MseOptimal);
+    let sc = meta.calibration_scale();
     let group: Vec<f32> = t.groups(GROUP).next().unwrap().to_vec();
-    let (block, _) = encode_group(&group, &meta, PatternSelector::MseOptimal);
+    let (block, _) = encode_group(&group, &meta, sc, PatternSelector::MseOptimal);
     let blocks: Vec<Block64> = t
         .groups(GROUP)
-        .map(|g| encode_group(g, &meta, PatternSelector::MseOptimal).0)
+        .map(|g| encode_group(g, &meta, sc, PatternSelector::MseOptimal).0)
         .collect();
 
     let mut g = c.benchmark_group("codec");
     g.throughput(Throughput::Bytes(2 * GROUP as u64));
     g.bench_function("encode_group_4x", |b| {
-        b.iter(|| encode_group(black_box(&group), &meta, PatternSelector::MseOptimal))
+        b.iter(|| encode_group(black_box(&group), &meta, sc, PatternSelector::MseOptimal))
     });
     g.bench_function("decode_group_4x", |b| {
-        b.iter(|| decode_group(black_box(&block), &meta).unwrap())
+        b.iter(|| decode_group(black_box(&block), &meta, sc).unwrap())
     });
     g.finish();
 
@@ -104,11 +105,11 @@ fn bench(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(2 * t.len() as u64));
     g.bench_function("pipeline_encode_tensor", |b| {
         b.iter(|| {
-            encode_groups_parallel_unchecked(black_box(&t), &meta, PatternSelector::MseOptimal)
+            encode_groups_parallel_unchecked(black_box(&t), &meta, sc, PatternSelector::MseOptimal)
         })
     });
     g.bench_function("pipeline_decode_tensor", |b| {
-        b.iter(|| decode_groups_parallel(black_box(&blocks), &meta).unwrap())
+        b.iter(|| decode_groups_parallel(black_box(&blocks), &meta, sc).unwrap())
     });
     g.finish();
 
@@ -118,9 +119,10 @@ fn bench(c: &mut Criterion) {
         .seeded(2)
         .generate();
     let kmeta = TensorMetadata::calibrate(&[&kt], &cfg, PatternSelector::MinMax);
+    let ksc = kmeta.calibration_scale();
     let kc_blocks: Vec<Block64> = kt
         .groups(GROUP)
-        .map(|g| encode_group(g, &kmeta, PatternSelector::MinMax).0)
+        .map(|g| encode_group(g, &kmeta, ksc, PatternSelector::MinMax).0)
         .collect();
 
     write_bench_json(&meta, &blocks, &kmeta, &kc_blocks);
@@ -249,11 +251,12 @@ fn window_extract_section(blocks: &[Block64]) -> String {
 /// the per-block centroid×scale table as its symbol resolves. Mean ns
 /// per whole-set pass, each arm the best of three timed runs.
 fn decode_to_values_ns(blocks: &[Block64], meta: &TensorMetadata) -> (f64, f64) {
+    let sc = meta.calibration_scale();
     let best_of = |f: &mut dyn FnMut() -> f64| (0..3).map(|_| f()).fold(f64::INFINITY, f64::min);
     let two_pass = best_of(&mut || {
         time_ns(|| {
             for blk in blocks {
-                black_box(decode_group_two_pass(black_box(blk), meta).unwrap());
+                black_box(decode_group_two_pass(black_box(blk), meta, sc).unwrap());
             }
         })
     });
@@ -262,7 +265,7 @@ fn decode_to_values_ns(blocks: &[Block64], meta: &TensorMetadata) -> (f64, f64) 
         time_ns(|| {
             for blk in blocks {
                 values.clear();
-                decode_group_into(black_box(blk), meta, &mut values).unwrap();
+                decode_group_into(black_box(blk), meta, sc, &mut values).unwrap();
                 black_box(&values);
             }
         })
@@ -308,6 +311,7 @@ fn pool_timings(
     small: &[&[Block64]],
     threads: usize,
 ) -> (f64, f64, f64, f64) {
+    let sc = meta.calibration_scale();
     let best_of = |f: &mut dyn FnMut() -> f64| (0..3).map(|_| f()).fold(f64::INFINITY, f64::min);
 
     let spawn = best_of(&mut || {
@@ -324,7 +328,7 @@ fn pool_timings(
                                 for b in run {
                                     // The fused decoder appends, so the
                                     // shard buffer is the output.
-                                    decode_group_into(b, meta, &mut out).unwrap();
+                                    decode_group_into(b, meta, sc, &mut out).unwrap();
                                 }
                                 out
                             })
@@ -344,7 +348,7 @@ fn pool_timings(
         ecco_core::pool::with_pool(&pool, || {
             time_ns(|| {
                 for t in small {
-                    black_box(decode_groups_parallel(black_box(t), meta).unwrap());
+                    black_box(decode_groups_parallel(black_box(t), meta, sc).unwrap());
                 }
             })
         })
@@ -358,7 +362,7 @@ fn pool_timings(
         ecco_core::pool::with_pool(&queue_pool, || {
             time_ns(|| {
                 for t in small {
-                    black_box(decode_groups_parallel(black_box(t), meta).unwrap());
+                    black_box(decode_groups_parallel(black_box(t), meta, sc).unwrap());
                 }
             })
         })
@@ -368,7 +372,7 @@ fn pool_timings(
         ecco_core::pool::with_pool(&pool, || {
             time_ns(|| {
                 let results = decode_tensors_batch_with(black_box(small), GROUP, |_, b, out| {
-                    decode_group_into(b, meta, out).map(|_| ())
+                    decode_group_into(b, meta, sc, out).map(|_| ())
                 });
                 for r in results {
                     black_box(r.unwrap());
@@ -517,7 +521,7 @@ fn parse_header<'m>(
     meta: &'m TensorMetadata,
 ) -> (&'m ecco_entropy::Codebook, usize) {
     let h = ecco_core::parse_block_header(block, meta).expect("benchmark blocks are valid");
-    (&meta.books[h.kp][h.book_id], h.data_start)
+    (&meta.books()[h.kp][h.book_id], h.data_start)
 }
 
 fn write_bench_json(
@@ -526,6 +530,7 @@ fn write_bench_json(
     kmeta: &TensorMetadata,
     kc_blocks: &[Block64],
 ) {
+    let sc = meta.calibration_scale();
     let n = blocks.len();
     let symbols = (n * GROUP) as f64;
     let parsed: Vec<(&ecco_entropy::Codebook, usize)> =
@@ -554,16 +559,16 @@ fn write_bench_json(
     // threaded, then core's pooled pipeline.
     let seq_ns = time_ns(|| {
         for blk in blocks {
-            black_box(decode_group(black_box(blk), meta).unwrap());
+            black_box(decode_group(black_box(blk), meta, sc).unwrap());
         }
     });
     let lut_block_ns = time_ns(|| {
         for blk in blocks {
-            black_box(decode_block_parallel(black_box(blk), meta).unwrap());
+            black_box(decode_block_parallel(black_box(blk), meta, sc).unwrap());
         }
     });
     let pipeline_ref_ns = time_ns(|| {
-        black_box(decode_groups_parallel(black_box(blocks), meta).unwrap());
+        black_box(decode_groups_parallel(black_box(blocks), meta, sc).unwrap());
     });
 
     // Small-tensor scheduling: spawn-per-call vs the persistent pool.
@@ -628,7 +633,7 @@ fn write_bench_json(
            \"notes\": \"both arms run the production decoder (decode_group_into). per_tensor_pooled is one decode_groups_parallel call per 4-block tensor, which runs inline on the caller; batched_submission is one decode_tensors_batch_with call for all 128 tensors, whose claim_ranges groups contiguous tensors into block-target-sized claims. The one-submission fixed cost (queue wake-up, per-chunk panic containment, per-tensor reassembly) is visible on a 1-2 core host; the batched win shows where a single submission amortizes across many workers\"\n  }},\n  \
          \"container_load\": {csec}\n}}\n",
         csec = container_load_section(),
-        threads = rayon::current_num_threads(),
+        threads = ecco_core::parallel::worker_threads(),
         seed = per_s(seed_ns),
         lut = per_s(lut_ns),
         raw_speedup = seed_ns / lut_ns,
@@ -662,14 +667,15 @@ fn write_bench_json(
 /// single-pass vs H-pass, full encode throughput, and parallel vs
 /// sequential calibration wall time.
 fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
+    let sc = meta.calibration_scale();
     // Precompute per-group symbol streams exactly as the encoder derives
     // them, so the selection timings isolate the codebook choice.
     let symbol_sets: Vec<(usize, Vec<u16>)> = t
         .groups(GROUP)
         .map(|g| {
-            let ng = normalize_group(g, meta.tensor_scale);
+            let ng = normalize_group(g, sc);
             let kp = meta.select_pattern(&ng, PatternSelector::MseOptimal);
-            (kp, ng.symbols(&meta.patterns[kp]))
+            (kp, ng.symbols(&meta.patterns()[kp]))
         })
         .collect();
     let n_groups = symbol_sets.len();
@@ -679,14 +685,11 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
     // boundary-table merge, winner symbols recorded in the scratch) vs
     // the pinned reference that scores each pattern independently.
     // Normalization is precomputed so both timings isolate selection.
-    let ngs: Vec<NormalizedGroup> = t
-        .groups(GROUP)
-        .map(|g| normalize_group(g, meta.tensor_scale))
-        .collect();
+    let ngs: Vec<NormalizedGroup> = t.groups(GROUP).map(|g| normalize_group(g, sc)).collect();
     let ref_select_ns = time_ns(|| {
         for ng in &ngs {
             black_box(select_pattern_ref(
-                &meta.patterns,
+                meta.patterns(),
                 black_box(ng),
                 None,
                 PatternSelector::MseOptimal,
@@ -708,7 +711,7 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
     // baseline) vs one packed-lane pass.
     let h_pass_ns = time_ns(|| {
         for (kp, syms) in &symbol_sets {
-            let best = meta.books[*kp]
+            let best = meta.books()[*kp]
                 .iter()
                 .enumerate()
                 .map(|(i, b)| (i, b.encoded_len(black_box(syms))))
@@ -721,18 +724,19 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
     // in the metadata, so the per-group cost is one load-add per symbol.
     let single_pass_ns = time_ns(|| {
         for (kp, syms) in &symbol_sets {
-            let table = meta.len_table(*kp).expect("calibrated metadata");
+            let table = meta.len_table(*kp);
             black_box(table.best(black_box(syms)));
         }
     });
 
     // Full group encode (the scratch-threaded hot path every codec loop
-    // uses), sequential and through the rayon pipeline.
+    // uses), sequential and through the pooled pipeline.
     let encode_ns = time_ns(|| {
         for g in t.groups(GROUP) {
             black_box(encode_group_scratch(
                 black_box(g),
                 meta,
+                sc,
                 PatternSelector::MseOptimal,
                 &mut scratch,
             ));
@@ -742,11 +746,12 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
         black_box(encode_groups_parallel_unchecked(
             black_box(t),
             meta,
+            sc,
             PatternSelector::MseOptimal,
         ));
     });
 
-    // Offline calibration: the rayon-parallel path vs the pinned
+    // Offline calibration: the pool-parallel path vs the pinned
     // sequential reference (bit-identical outputs; see the differential
     // proptests in ecco-core::metadata).
     let cal_par_ns = time_ns(|| {
@@ -788,7 +793,7 @@ fn write_encode_json(t: &Tensor, meta: &TensorMetadata, cfg: &EccoConfig) {
            \"sequential_ms\": {cal_seq:.2},\n    \
            \"parallel_ms\": {cal_par:.2},\n    \
            \"parallel_vs_sequential_speedup\": {cal_speedup:.2}\n  }}\n}}\n",
-        threads = rayon::current_num_threads(),
+        threads = ecco_core::parallel::worker_threads(),
         ref_sel = selections_per_s(ref_select_ns),
         fused_sel = selections_per_s(fused_select_ns),
         sel_fused_speedup = ref_select_ns / fused_select_ns,

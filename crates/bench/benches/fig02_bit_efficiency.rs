@@ -52,16 +52,21 @@ fn main() {
     let meta = TensorMetadata::calibrate(&[&tensor], &cfg, PatternSelector::MseOptimal);
     let mut codes = Vec::with_capacity(tensor.len());
     for g in tensor.groups(group) {
-        let ng = normalize_group(g, meta.tensor_scale);
+        let ng = normalize_group(g, meta.calibration_scale());
         let kp = meta.select_pattern(&ng, PatternSelector::MseOptimal);
         for (i, &v) in ng.values.iter().enumerate() {
             codes.push(if i == ng.max_pos {
                 15
             } else {
-                meta.patterns[kp].nearest(v)
+                meta.patterns()[kp].nearest(v)
             });
         }
-        let _ = encode_group(g, &meta, PatternSelector::MseOptimal);
+        let _ = encode_group(
+            g,
+            &meta,
+            meta.calibration_scale(),
+            PatternSelector::MseOptimal,
+        );
     }
     let (uniq, ent) = per_group_stats(&codes, group, 16);
     let real_bits = 4.0 + meta.metadata_bytes() as f64 * 8.0 / tensor.len() as f64;

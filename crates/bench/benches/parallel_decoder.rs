@@ -22,12 +22,13 @@ fn bench(c: &mut Criterion) {
         ..EccoConfig::default()
     };
     let meta = TensorMetadata::calibrate(&[&t], &cfg, PatternSelector::MinMax);
+    let scale = TensorMetadata::scale_for(&t);
     let group: Vec<f32> = t.groups(128).next().unwrap().to_vec();
-    let (block, _) = encode_group(&group, &meta, PatternSelector::MinMax);
+    let (block, _) = encode_group(&group, &meta, scale, PatternSelector::MinMax);
     let blocks: Vec<Block64> = t
         .groups(128)
         .take(512)
-        .map(|g| encode_group(g, &meta, PatternSelector::MinMax).0)
+        .map(|g| encode_group(g, &meta, scale, PatternSelector::MinMax).0)
         .collect();
 
     // Raw symbol-decode comparison on the identical (book, start_bit)
@@ -39,10 +40,10 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("huffman_decode");
     g.throughput(Throughput::Elements(128));
     g.bench_function("sequential_reference", |b| {
-        b.iter(|| decode_group(black_box(&block), &meta).unwrap())
+        b.iter(|| decode_group(black_box(&block), &meta, scale).unwrap())
     });
     g.bench_function("parallel_model_64x8", |b| {
-        b.iter(|| decode_block_parallel(black_box(&block), &meta).unwrap())
+        b.iter(|| decode_block_parallel(black_box(&block), &meta, scale).unwrap())
     });
     g.bench_function("lut_raw_decode", |b| {
         b.iter(|| decoder.decode_into(black_box(&block), start_bit, 128, &mut scratch))
@@ -55,13 +56,13 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("multi_block");
     g.throughput(Throughput::Elements(128 * blocks.len() as u64));
     g.bench_function("pipeline_decode_512_blocks", |b| {
-        b.iter(|| decode_groups_parallel(black_box(&blocks), &meta).unwrap())
+        b.iter(|| decode_groups_parallel(black_box(&blocks), &meta, scale).unwrap())
     });
     g.bench_function("sequential_decode_512_blocks", |b| {
         b.iter(|| {
             let mut out = Vec::with_capacity(blocks.len() * 128);
             for blk in black_box(&blocks) {
-                out.extend(decode_group(blk, &meta).unwrap().0);
+                out.extend(decode_group(blk, &meta, scale).unwrap().0);
             }
             out
         })
@@ -77,7 +78,7 @@ fn parse_header<'m>(
     meta: &'m TensorMetadata,
 ) -> (&'m ecco_entropy::Codebook, usize) {
     let h = ecco_core::parse_block_header(block, meta).expect("benchmark blocks are valid");
-    (&meta.books[h.kp][h.book_id], h.data_start)
+    (&meta.books()[h.kp][h.book_id], h.data_start)
 }
 
 criterion_group!(benches, bench);

@@ -295,7 +295,7 @@ impl Container {
             if len != want_len {
                 return Err(located(DecodeError::new(DecodeErrorKind::LengthMismatch)));
             }
-            if decoded_len != block_count as u64 * meta.group_size as u64 {
+            if decoded_len != block_count as u64 * meta.group_size() as u64 {
                 return Err(located(DecodeError::new(DecodeErrorKind::LengthMismatch)));
             }
             if by_name.insert(name.clone(), i).is_some() {

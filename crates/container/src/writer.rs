@@ -66,7 +66,7 @@ impl ContainerWriter {
             meta_offset,
             meta_len: meta_bytes.len() as u64,
             meta_crc,
-            group_size: meta.group_size,
+            group_size: meta.group_size(),
             entries: Vec::new(),
         }
     }

@@ -14,7 +14,7 @@ use ecco_numerics::Po2Scale;
 use ecco_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-use crate::block::{decode_group, encode_group};
+use crate::block::{decode_group, decode_group_into, encode_group};
 use crate::metadata::{PatternSelector, TensorMetadata};
 use crate::weight::WeightCodec;
 use crate::EccoConfig;
@@ -135,15 +135,15 @@ impl AdaptiveCodec {
     /// Compresses, falling back to raw per group when the policy demands.
     pub fn compress(&self, tensor: &Tensor) -> (AdaptiveTensor, AdaptiveStats) {
         let tensor_scale = TensorMetadata::scale_for(tensor);
-        let meta = self.inner.metadata().with_scale(tensor_scale);
-        let mut blocks = Vec::with_capacity(tensor.len() / meta.group_size);
+        let meta = self.inner.metadata();
+        let mut blocks = Vec::with_capacity(tensor.len() / meta.group_size());
         let mut stats = AdaptiveStats::default();
         let mut sum_err = 0f64;
         let mut sum_ref = 0f64;
         let mut stored_bytes = 0usize;
-        for g in tensor.groups(meta.group_size) {
-            let (block, info) = encode_group(g, &meta, PatternSelector::MseOptimal);
-            let (out, _) = decode_group(&block, &meta).expect("own block");
+        for g in tensor.groups(meta.group_size()) {
+            let (block, info) = encode_group(g, meta, tensor_scale, PatternSelector::MseOptimal);
+            let (out, _) = decode_group(&block, meta, tensor_scale).expect("own block");
             let (mut e, mut r) = (0f64, 0f64);
             for (&a, &b) in g.iter().zip(&out) {
                 e += ((a - b) as f64).powi(2);
@@ -185,14 +185,14 @@ impl AdaptiveCodec {
     /// copied losslessly; compressed groups decode under the stream's own
     /// per-tensor scale.
     pub fn decompress(&self, at: &AdaptiveTensor) -> Tensor {
-        let meta = self.inner.metadata().with_scale(at.tensor_scale);
+        let meta = self.inner.metadata();
         let mut data = Vec::with_capacity(at.rows * at.cols);
         for b in &at.blocks {
             match b {
                 AdaptiveBlock::Raw(v) => data.extend_from_slice(v),
                 AdaptiveBlock::Compressed(block) => {
-                    let (vals, _) = decode_group(block, &meta).expect("valid block");
-                    data.extend_from_slice(&vals);
+                    decode_group_into(block, meta, at.tensor_scale, &mut data)
+                        .expect("valid block");
                 }
             }
         }

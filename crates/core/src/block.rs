@@ -17,7 +17,7 @@
 
 use ecco_bits::{BitReader, BitWriter, Block64, BLOCK_BITS};
 use ecco_entropy::Codebook;
-use ecco_numerics::F8E4M3;
+use ecco_numerics::{Po2Scale, F8E4M3};
 
 use crate::group::normalize_group;
 use crate::metadata::{PatternSelector, TensorMetadata};
@@ -58,15 +58,15 @@ pub enum DecodeErrorKind {
     /// The scale-factor byte decoded to NaN.
     BadScaleFactor,
     /// A revived codebook's serialized fields do not cohere (Kraft
-    /// violation, `max_len` disagreeing with its lengths, an alphabet
-    /// wider than the symbol space, or code lengths the parallel decoder
-    /// cannot segment) — decoding refuses instead of silently
-    /// zero-filling through an all-invalid table or indexing out of
-    /// bounds.
+    /// violation, `max_len` or codes disagreeing with its lengths), or a
+    /// data book falls outside the format's 2..=8-bit, 16-symbol
+    /// envelope. Reported once, when the tables are built
+    /// ([`TensorMetadata::from_parts`]).
     CorruptCodebook,
-    /// Revived tensor metadata is structurally inconsistent (fewer
-    /// codebook rows than patterns, an `ID_HF` width that cannot fit a
-    /// block header, a corrupt pattern-id code, …).
+    /// Revived metadata is structurally inconsistent (a book table that
+    /// is not `S × H`, an `ID_HF` width that cannot name every book, a
+    /// pattern code that cannot name every pattern, a bad magic, …), or
+    /// a container's directory lies about its frames.
     CorruptMetadata,
     /// A serialized stream ended before its declared contents: a tensor
     /// whose block array stops short of its shape, or a wire snapshot
@@ -194,13 +194,14 @@ impl std::error::Error for DecodeError {}
 ///
 /// # Panics
 ///
-/// Panics if `group.len() != meta.group_size`.
+/// Panics if `group.len() != meta.group_size()`.
 pub fn encode_group(
     group: &[f32],
     meta: &TensorMetadata,
+    scale: Po2Scale,
     selector: PatternSelector,
 ) -> (Block64, EncodedGroupInfo) {
-    with_thread_scratch(|s| encode_group_scratch(group, meta, selector, s))
+    with_thread_scratch(|s| encode_group_scratch(group, meta, scale, selector, s))
 }
 
 /// Compresses one group through a caller-provided [`GroupScratch`]: the
@@ -211,17 +212,18 @@ pub fn encode_group(
 ///
 /// # Panics
 ///
-/// Panics if `group.len() != meta.group_size`.
+/// Panics if `group.len() != meta.group_size()`.
 pub fn encode_group_scratch(
     group: &[f32],
     meta: &TensorMetadata,
+    scale: Po2Scale,
     selector: PatternSelector,
     scratch: &mut GroupScratch,
 ) -> (Block64, EncodedGroupInfo) {
-    assert_eq!(group.len(), meta.group_size, "group size mismatch");
-    let ng = normalize_group(group, meta.tensor_scale);
+    assert_eq!(group.len(), meta.group_size(), "group size mismatch");
+    let ng = normalize_group(group, scale);
     let kp = meta.select_pattern_scratch(&ng, selector, scratch);
-    encode_group_full(group, &ng, meta, kp, scratch, true)
+    encode_group_full(group, &ng, meta, scale, kp, scratch, true)
 }
 
 /// Fused activation-aware compression of one group: selects the pattern
@@ -231,18 +233,19 @@ pub fn encode_group_scratch(
 ///
 /// # Panics
 ///
-/// Panics if `group.len() != meta.group_size` or `group_w2` is shorter
+/// Panics if `group.len() != meta.group_size()` or `group_w2` is shorter
 /// than the group.
 pub fn encode_group_weighted_scratch(
     group: &[f32],
     meta: &TensorMetadata,
+    scale: Po2Scale,
     group_w2: &[f32],
     scratch: &mut GroupScratch,
 ) -> (Block64, EncodedGroupInfo) {
-    assert_eq!(group.len(), meta.group_size, "group size mismatch");
-    let ng = normalize_group(group, meta.tensor_scale);
+    assert_eq!(group.len(), meta.group_size(), "group size mismatch");
+    let ng = normalize_group(group, scale);
     let kp = meta.select_pattern_weighted_scratch(&ng, group_w2, scratch);
-    encode_group_full(group, &ng, meta, kp, scratch, true)
+    encode_group_full(group, &ng, meta, scale, kp, scratch, true)
 }
 
 /// Compresses one group with an explicitly chosen shared pattern — kept
@@ -251,19 +254,20 @@ pub fn encode_group_weighted_scratch(
 ///
 /// # Panics
 ///
-/// Panics if `group.len() != meta.group_size` or `kp` is out of range.
+/// Panics if `group.len() != meta.group_size()` or `kp` is out of range.
 pub fn encode_group_with_pattern(
     group: &[f32],
     meta: &TensorMetadata,
+    scale: Po2Scale,
     kp: usize,
 ) -> (Block64, EncodedGroupInfo) {
-    assert_eq!(group.len(), meta.group_size, "group size mismatch");
-    assert!(kp < meta.patterns.len(), "pattern id out of range");
-    let ng = normalize_group(group, meta.tensor_scale);
+    assert_eq!(group.len(), meta.group_size(), "group size mismatch");
+    assert!(kp < meta.num_patterns(), "pattern id out of range");
+    let ng = normalize_group(group, scale);
     with_thread_scratch(|scratch| {
         scratch.load_group(&ng);
-        scratch.quantize(&meta.patterns[kp], &meta.boundaries()[kp]);
-        encode_group_full(group, &ng, meta, kp, scratch, true)
+        scratch.quantize(&meta.patterns()[kp], &meta.boundaries()[kp]);
+        encode_group_full(group, &ng, meta, scale, kp, scratch, true)
     })
 }
 
@@ -273,62 +277,59 @@ pub fn encode_group_with_pattern(
 pub fn encode_group_unpadded(
     group: &[f32],
     meta: &TensorMetadata,
+    scale: Po2Scale,
     selector: PatternSelector,
 ) -> (Block64, EncodedGroupInfo) {
-    with_thread_scratch(|s| encode_group_unpadded_scratch(group, meta, selector, s))
+    with_thread_scratch(|s| encode_group_unpadded_scratch(group, meta, scale, selector, s))
 }
 
 /// [`encode_group_unpadded`] through a caller-provided scratch.
 ///
 /// # Panics
 ///
-/// Panics if `group.len() != meta.group_size`.
+/// Panics if `group.len() != meta.group_size()`.
 pub fn encode_group_unpadded_scratch(
     group: &[f32],
     meta: &TensorMetadata,
+    scale: Po2Scale,
     selector: PatternSelector,
     scratch: &mut GroupScratch,
 ) -> (Block64, EncodedGroupInfo) {
-    assert_eq!(group.len(), meta.group_size, "group size mismatch");
-    let ng = normalize_group(group, meta.tensor_scale);
+    assert_eq!(group.len(), meta.group_size(), "group size mismatch");
+    let ng = normalize_group(group, scale);
     let kp = meta.select_pattern_scratch(&ng, selector, scratch);
-    encode_group_full(group, &ng, meta, kp, scratch, false)
+    encode_group_full(group, &ng, meta, scale, kp, scratch, false)
 }
 
 fn encode_group_full(
     group: &[f32],
     ng: &crate::group::NormalizedGroup,
     meta: &TensorMetadata,
+    scale: Po2Scale,
     kp: usize,
     scratch: &mut GroupScratch,
     pad_outliers: bool,
 ) -> (Block64, EncodedGroupInfo) {
     // Symbol assignment (step 5): the fused sweep already quantized the
     // group; scatter the winner's symbols back to group order.
-    let symbols: &[u16] = scratch.scatter(meta.group_size);
+    let symbols: &[u16] = scratch.scatter(meta.group_size());
 
     // Step 8: pick the codebook with the shortest total encoding — a
     // single pass over the symbols with packed per-symbol length lanes
     // (one [u8; 4] lane group per symbol across the four books) instead
     // of H separate `encoded_len` sweeps. Totals are exact and ties
     // resolve to the lowest book index, so the choice is bit-identical
-    // to the multi-sweep baseline. The packed table is cached per
-    // pattern in the metadata (self-healing after deserialization); the
-    // pack-on-the-fly arm only guards an out-of-range pattern id.
-    let books = &meta.books[kp];
-    let (book_id, data_len) = match meta.len_table(kp) {
-        Some(table) => table.best(symbols),
-        None => ecco_entropy::MultiLenTable::new(books).best(symbols),
-    };
-    let book = &books[book_id];
+    // to the multi-sweep baseline.
+    let (book_id, data_len) = meta.len_table(kp).best(symbols);
+    let book = &meta.books()[kp][book_id];
 
     // Header.
     let mut w = BitWriter::with_capacity(BLOCK_BITS);
-    if meta.id_hf_bits > 0 {
-        w.write_bits(book_id as u64, meta.id_hf_bits);
+    if meta.id_hf_bits() > 0 {
+        w.write_bits(book_id as u64, meta.id_hf_bits());
     }
     w.write_bits(ng.sf_bits as u64, 8);
-    meta.pattern_code.encode_symbol(&mut w, kp as u16);
+    meta.pattern_code().encode_symbol(&mut w, kp as u16);
     let header_bits = w.bit_len();
     let budget = BLOCK_BITS - header_bits;
 
@@ -352,7 +353,7 @@ fn encode_group_full(
         };
         let outliers = rank_outliers(group, ng.max_pos);
         for &(pos, val) in outliers.iter().take(n_out) {
-            let f8 = F8E4M3::from_f32(meta.tensor_scale.compress(val));
+            let f8 = F8E4M3::from_f32(scale.compress(val));
             w.write_bits(pos as u64, 7);
             w.write_bits(f8.to_bits() as u64, 8);
             info.padded_outliers += 1;
@@ -377,7 +378,7 @@ fn encode_group_full(
             }
         }
         info.data_bits = BLOCK_BITS - header_bits;
-        info.clipped_symbols = meta.group_size - full;
+        info.clipped_symbols = meta.group_size() - full;
     }
 
     let block = Block64::from_writer(w).expect("encoder never exceeds 512 bits");
@@ -401,67 +402,31 @@ pub struct BlockHeader {
     pub data_start: usize,
 }
 
-/// Maximum believable `ID_HF` field width: 2^16 codebooks per pattern is
-/// far past any real configuration, so wider values only arise from
-/// corrupt revived metadata.
-const MAX_ID_HF_BITS: u32 = 16;
-
-/// Validates a revived *data* codebook before decoding through it.
-///
-/// The Ecco format constrains data codes to lengths `2..=8` over at most
-/// [`crate::pattern::SYMBOL_COUNT`] symbols (the parallel-decode
-/// constraint of the paper); a revived book outside that envelope — or
-/// one whose serialized fields do not heal into a canonical code at all —
-/// is reported as [`DecodeErrorKind::CorruptCodebook`]. The block frame
-/// ([`decode_group_with`]) applies it before any symbol walk runs, so the
-/// sequential decoder and the hardware model agree error-for-error on
-/// corrupt metadata instead of one panicking where the other zero-fills.
-pub fn validate_data_book(book: &Codebook) -> Result<(), DecodeError> {
-    if !book.revival_coherent()
-        || book.num_symbols() > crate::pattern::SYMBOL_COUNT
-        || book.max_len() > 8
-        || book.lengths().iter().any(|&l| l < 2)
-    {
-        return Err(DecodeErrorKind::CorruptCodebook.into());
-    }
-    Ok(())
-}
-
 /// Parses and validates a block's header fields against `meta`.
 ///
 /// # Errors
 ///
-/// Structural [`DecodeErrorKind::CorruptMetadata`] checks come first (an
-/// `ID_HF` width no real configuration produces, a corrupt pattern-id
-/// code, a codebook table with fewer rows than patterns), then the
-/// per-block field errors in the same precedence order every decoder
+/// The per-block field errors in the precedence order every decoder
 /// reports: bad pattern id, then bad book id, then NaN scale factor.
 pub fn parse_block_header(
     block: &Block64,
     meta: &TensorMetadata,
 ) -> Result<BlockHeader, DecodeError> {
-    if meta.id_hf_bits > MAX_ID_HF_BITS || !meta.pattern_code.revival_coherent() {
-        return Err(DecodeErrorKind::CorruptMetadata.into());
-    }
     let mut r = block.reader();
-    let book_id = if meta.id_hf_bits > 0 {
-        r.read_bits(meta.id_hf_bits).expect("block holds header") as usize
+    let book_id = if meta.id_hf_bits() > 0 {
+        r.read_bits(meta.id_hf_bits()).expect("block holds header") as usize
     } else {
         0
     };
     let sf_bits = r.read_bits(8).expect("block holds header") as u8;
     let kp = meta
-        .pattern_code
+        .pattern_code()
         .decode_symbol(&mut r)
         .ok_or(DecodeError::new(DecodeErrorKind::BadPatternId))? as usize;
-    if kp >= meta.patterns.len() {
+    if kp >= meta.num_patterns() {
         return Err(DecodeErrorKind::BadPatternId.into());
     }
-    let books = meta
-        .books
-        .get(kp)
-        .ok_or(DecodeError::new(DecodeErrorKind::CorruptMetadata))?;
-    if book_id >= books.len() {
+    if book_id >= meta.books_per_pattern() {
         return Err(DecodeErrorKind::BadBookId.into());
     }
     if F8E4M3::from_bits(sf_bits).is_nan() {
@@ -529,8 +494,8 @@ impl BlockValueTable {
     ///
     /// # Panics
     ///
-    /// Panics if `sym >= SYMBOL_COUNT`; every validated data codebook
-    /// ([`validate_data_book`]) only emits symbols below that bound.
+    /// Panics if `sym >= SYMBOL_COUNT`; the data codebooks of every
+    /// [`TensorMetadata`] only emit symbols below that bound.
     #[inline]
     pub fn value(&self, sym: u16) -> f32 {
         self.values[sym as usize]
@@ -543,7 +508,8 @@ impl BlockValueTable {
     }
 }
 
-/// Decompresses one block back into `meta.group_size` FP16 values.
+/// Decompresses one block of a tensor compressed under `scale` back
+/// into `meta.group_size()` FP16 values.
 ///
 /// Thin wrapper over the fused [`decode_group_into`], kept for callers
 /// that want an owned buffer per block.
@@ -555,14 +521,15 @@ impl BlockValueTable {
 pub fn decode_group(
     block: &Block64,
     meta: &TensorMetadata,
+    scale: Po2Scale,
 ) -> Result<(Vec<f32>, DecodedGroupInfo), DecodeError> {
-    let mut values = Vec::with_capacity(meta.group_size);
-    let info = decode_group_into(block, meta, &mut values)?;
+    let mut values = Vec::with_capacity(meta.group_size());
+    let info = decode_group_into(block, meta, scale, &mut values)?;
     Ok((values, info))
 }
 
 /// The fused decode walk: decompresses one block, **appending**
-/// `meta.group_size` FP16 values to `values` — each decoded symbol is
+/// `meta.group_size()` FP16 values to `values` — each decoded symbol is
 /// gathered through a precomputed [`BlockValueTable`] as it is resolved,
 /// with no intermediate symbol buffer or second reconstruction pass.
 ///
@@ -578,12 +545,12 @@ pub fn decode_group(
 pub fn decode_group_into(
     block: &Block64,
     meta: &TensorMetadata,
+    scale: Po2Scale,
     values: &mut Vec<f32>,
 ) -> Result<DecodedGroupInfo, DecodeError> {
     // A clipped tail terminates decoding (prefix-freeness makes the
-    // truncation point unambiguous). The decode-table view is fetched
-    // once per block, not per symbol.
-    let (info, ()) = decode_group_with(block, meta, values, |book, r, max, table, out| {
+    // truncation point unambiguous).
+    let (info, ()) = decode_group_with(block, meta, scale, values, |book, r, max, table, out| {
         let base = out.len();
         let dec = book.symbol_decoder();
         while out.len() - base < max {
@@ -597,10 +564,11 @@ pub fn decode_group_into(
 }
 
 /// The block frame every decoder shares: parse and validate the header,
-/// build the block's [`BlockValueTable`], run `walk` over the Huffman
-/// data, fill a clipped tail with the zero-centroid value, and overlay
-/// the padded outliers — **appending** exactly `meta.group_size` values
-/// to `values`. On error nothing is appended.
+/// build the block's [`BlockValueTable`] under the tensor's `scale`, run
+/// `walk` over the Huffman data, fill a clipped tail with the
+/// zero-centroid value, and overlay the padded outliers — **appending**
+/// exactly `meta.group_size()` values to `values`. On error nothing is
+/// appended.
 ///
 /// `walk(book, reader, max, table, out)` decodes up to `max` symbols of
 /// `book` from `reader`'s position (the first data bit), appends each
@@ -612,41 +580,40 @@ pub fn decode_group_into(
 ///
 /// # Errors
 ///
-/// Header errors from [`parse_block_header`], and
-/// [`DecodeErrorKind::CorruptCodebook`] from [`validate_data_book`].
+/// Header errors from [`parse_block_header`].
 pub fn decode_group_with<T>(
     block: &Block64,
     meta: &TensorMetadata,
+    scale: Po2Scale,
     values: &mut Vec<f32>,
     walk: impl FnOnce(&Codebook, &mut BitReader<'_>, usize, &BlockValueTable, &mut Vec<f32>) -> T,
 ) -> Result<(DecodedGroupInfo, T), DecodeError> {
     let header = parse_block_header(block, meta)?;
-    let book = &meta.books[header.kp][header.book_id];
-    validate_data_book(book)?;
+    let book = &meta.books()[header.kp][header.book_id];
+    let gs = meta.group_size();
     let sf = F8E4M3::from_bits(header.sf_bits);
-    let scale_signed = ecco_numerics::round_f16(meta.tensor_scale.expand(sf.to_f32()));
-    let table = BlockValueTable::new(&meta.patterns[header.kp], scale_signed);
+    let scale_signed = ecco_numerics::round_f16(scale.expand(sf.to_f32()));
+    let table = BlockValueTable::new(&meta.patterns()[header.kp], scale_signed);
 
     let mut r = block.reader();
     r.seek(header.data_start);
     let base = values.len();
-    values.reserve(meta.group_size);
-    let walked = walk(book, &mut r, meta.group_size, &table, values);
+    values.reserve(gs);
+    let walked = walk(book, &mut r, gs, &table, values);
     let decoded = values.len() - base;
 
     // Clipped tail: fill with the reconstructed zero centroid.
-    values.resize(base + meta.group_size, table.tail_fill());
+    values.resize(base + gs, table.tail_fill());
 
     // Outliers exist only when nothing was clipped.
     let mut applied = 0usize;
-    if decoded == meta.group_size {
+    if decoded == gs {
         let n_out = (BLOCK_BITS - r.bit_pos()) / OUTLIER_BITS;
         for _ in 0..n_out {
             let pos = r.read_bits(7).expect("outlier fits") as usize;
             let f8 = F8E4M3::from_bits(r.read_bits(8).expect("outlier fits") as u8);
-            if pos < meta.group_size && !f8.is_nan() {
-                values[base + pos] =
-                    ecco_numerics::round_f16(meta.tensor_scale.expand(f8.to_f32()));
+            if pos < gs && !f8.is_nan() {
+                values[base + pos] = ecco_numerics::round_f16(scale.expand(f8.to_f32()));
                 applied += 1;
             }
         }
@@ -655,7 +622,7 @@ pub fn decode_group_with<T>(
     Ok((
         DecodedGroupInfo {
             decoded_symbols: decoded,
-            clipped_symbols: meta.group_size - decoded,
+            clipped_symbols: gs - decoded,
             applied_outliers: applied,
         },
         walked,
@@ -675,11 +642,12 @@ pub fn decode_group_with<T>(
 pub fn decode_group_two_pass(
     block: &Block64,
     meta: &TensorMetadata,
+    scale: Po2Scale,
 ) -> Result<(Vec<f32>, DecodedGroupInfo), DecodeError> {
     let header = parse_block_header(block, meta)?;
-    let book = &meta.books[header.kp][header.book_id];
-    validate_data_book(book)?;
-    let pattern = &meta.patterns[header.kp];
+    let book = &meta.books()[header.kp][header.book_id];
+    let pattern = &meta.patterns()[header.kp];
+    let group_size = meta.group_size();
     let mut r = block.reader();
     r.seek(header.data_start);
 
@@ -687,14 +655,14 @@ pub fn decode_group_two_pass(
     // Reconstruction multiplies centroids by the true |scale factor| — an
     // all-zero group has scale 0 and reconstructs to exact zeros, exactly
     // like the hardware's `pattern × SF` multiplier.
-    let scale_signed = ecco_numerics::round_f16(meta.tensor_scale.expand(sf.to_f32()));
+    let scale_signed = ecco_numerics::round_f16(scale.expand(sf.to_f32()));
     let scale_mag = scale_signed.abs();
 
     // Decode up to group_size symbols; a clipped tail terminates decoding
     // (prefix-freeness makes the truncation point unambiguous).
     let dec = book.symbol_decoder();
-    let mut symbols = Vec::with_capacity(meta.group_size);
-    while symbols.len() < meta.group_size {
+    let mut symbols = Vec::with_capacity(group_size);
+    while symbols.len() < group_size {
         match dec.decode_symbol(&mut r) {
             Some(s) => symbols.push(s),
             None => break,
@@ -705,7 +673,7 @@ pub fn decode_group_two_pass(
 
     // Reconstruct.
     let zero_centroid = pattern.centroids()[pattern.zero_symbol() as usize];
-    let mut values: Vec<f32> = Vec::with_capacity(meta.group_size);
+    let mut values: Vec<f32> = Vec::with_capacity(group_size);
     for &s in &symbols {
         if s == SCALE_SYMBOL {
             values.push(scale_signed);
@@ -715,19 +683,19 @@ pub fn decode_group_two_pass(
             ));
         }
     }
-    for _ in decoded..meta.group_size {
+    for _ in decoded..group_size {
         values.push(ecco_numerics::round_f16(zero_centroid * scale_mag));
     }
 
     // Outliers exist only when nothing was clipped.
     let mut applied = 0usize;
-    if decoded == meta.group_size {
+    if decoded == group_size {
         let n_out = (BLOCK_BITS - data_end) / OUTLIER_BITS;
         for _ in 0..n_out {
             let pos = r.read_bits(7).expect("outlier fits") as usize;
             let f8 = F8E4M3::from_bits(r.read_bits(8).expect("outlier fits") as u8);
-            if pos < meta.group_size && !f8.is_nan() {
-                values[pos] = ecco_numerics::round_f16(meta.tensor_scale.expand(f8.to_f32()));
+            if pos < group_size && !f8.is_nan() {
+                values[pos] = ecco_numerics::round_f16(scale.expand(f8.to_f32()));
                 applied += 1;
             }
         }
@@ -737,7 +705,7 @@ pub fn decode_group_two_pass(
         values,
         DecodedGroupInfo {
             decoded_symbols: decoded,
-            clipped_symbols: meta.group_size - decoded,
+            clipped_symbols: group_size - decoded,
             applied_outliers: applied,
         },
     ))
@@ -773,15 +741,33 @@ mod tests {
         TensorMetadata::calibrate(&[t], &cfg, PatternSelector::MseOptimal)
     }
 
+    /// `meta` with every data book replaced by uniform 4-bit codes
+    /// (128 × 4 = 512 bits, so every group clips) and groups of
+    /// `group_size` values.
+    fn with_uniform_books(meta: &TensorMetadata, group_size: usize) -> TensorMetadata {
+        let uniform = Codebook::from_frequencies(&[1u64; 16], 4, 4).unwrap();
+        let books = vec![vec![uniform; meta.books_per_pattern()]; meta.num_patterns()];
+        TensorMetadata::from_parts(
+            meta.calibration_scale(),
+            meta.patterns().to_vec(),
+            books,
+            meta.pattern_code().clone(),
+            meta.id_hf_bits(),
+            group_size,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn roundtrip_error_bounded() {
         let t = SynthSpec::for_kind(TensorKind::Weight, 16, 512)
             .seeded(11)
             .generate();
         let meta = meta_for(&t);
+        let sc = meta.calibration_scale();
         for g in t.groups(128) {
-            let (block, info) = encode_group(g, &meta, PatternSelector::MseOptimal);
-            let (out, dinfo) = decode_group(&block, &meta).unwrap();
+            let (block, info) = encode_group(g, &meta, sc, PatternSelector::MseOptimal);
+            let (out, dinfo) = decode_group(&block, &meta, sc).unwrap();
             assert_eq!(out.len(), 128);
             assert_eq!(dinfo.clipped_symbols, info.clipped_symbols);
             // Reconstruction error bounded by the group scale (15 centroids
@@ -802,9 +788,10 @@ mod tests {
             .seeded(12)
             .generate();
         let meta = meta_for(&t);
+        let sc = meta.calibration_scale();
         for g in t.groups(128) {
-            let (block, _) = encode_group(g, &meta, PatternSelector::MseOptimal);
-            let (out, _) = decode_group(&block, &meta).unwrap();
+            let (block, _) = encode_group(g, &meta, sc, PatternSelector::MseOptimal);
+            let (out, _) = decode_group(&block, &meta, sc).unwrap();
             let max_pos = (0..128)
                 .max_by(|&a, &b| g[a].abs().total_cmp(&g[b].abs()))
                 .unwrap();
@@ -824,9 +811,10 @@ mod tests {
             .seeded(13)
             .generate();
         let meta = meta_for(&t);
+        let sc = meta.calibration_scale();
         let zeros = vec![0f32; 128];
-        let (block, _info) = encode_group(&zeros, &meta, PatternSelector::MseOptimal);
-        let (out, _) = decode_group(&block, &meta).unwrap();
+        let (block, _info) = encode_group(&zeros, &meta, sc, PatternSelector::MseOptimal);
+        let (out, _) = decode_group(&block, &meta, sc).unwrap();
         // Whatever pattern/book the zero group lands on (possibly even a
         // clipped one), reconstruction multiplies centroids by the zero
         // scale factor: everything must be exactly 0.
@@ -848,13 +836,14 @@ mod tests {
         }
         let t = Tensor::from_vec(64, 128, data);
         let meta = meta_for(&t);
+        let sc = meta.calibration_scale();
 
         let mut g = vec![0.01f32; 128];
         g[5] = 8.0;
         g[77] = 6.0;
-        let (block, info) = encode_group(&g, &meta, PatternSelector::MseOptimal);
+        let (block, info) = encode_group(&g, &meta, sc, PatternSelector::MseOptimal);
         assert!(info.padded_outliers > 0, "expected padding space: {info:?}");
-        let (out, dinfo) = decode_group(&block, &meta).unwrap();
+        let (out, dinfo) = decode_group(&block, &meta, sc).unwrap();
         assert_eq!(dinfo.applied_outliers, info.padded_outliers);
         let rel = (out[77] - 6.0).abs() / 6.0;
         assert!(rel < 0.07, "outlier 6.0 reconstructed as {}", out[77]);
@@ -867,19 +856,14 @@ mod tests {
         let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512)
             .seeded(15)
             .generate();
-        let mut meta = meta_for(&t);
-        let uniform = ecco_entropy::Codebook::from_frequencies(&[1u64; 16], 4, 4).unwrap();
-        for row in &mut meta.books {
-            for b in row {
-                *b = uniform.clone();
-            }
-        }
+        let meta = with_uniform_books(&meta_for(&t), 128);
+        let sc = meta.calibration_scale();
         let g: Vec<f32> = (0..128)
             .map(|i| ((i * 37 % 128) as f32 - 64.0) * 0.01)
             .collect();
-        let (block, info) = encode_group(&g, &meta, PatternSelector::MseOptimal);
+        let (block, info) = encode_group(&g, &meta, sc, PatternSelector::MseOptimal);
         assert!(info.clipped_symbols > 0, "clipping must occur");
-        let (out, dinfo) = decode_group(&block, &meta).unwrap();
+        let (out, dinfo) = decode_group(&block, &meta, sc).unwrap();
         assert_eq!(dinfo.clipped_symbols, info.clipped_symbols);
         assert_eq!(out.len(), 128);
     }
@@ -892,20 +876,21 @@ mod tests {
             .seeded(18)
             .generate();
         let meta = meta_for(&t);
+        let sc = meta.calibration_scale();
         for g in t.groups(128) {
-            let ng = normalize_group(g, meta.tensor_scale);
+            let ng = normalize_group(g, sc);
             let kp = meta.select_pattern(&ng, PatternSelector::MseOptimal);
-            let symbols = ng.symbols(&meta.patterns[kp]);
-            let baseline = meta.books[kp]
+            let symbols = ng.symbols(&meta.patterns()[kp]);
+            let baseline = meta.books()[kp]
                 .iter()
                 .enumerate()
                 .map(|(i, b)| (i, b.encoded_len(&symbols)))
                 .min_by_key(|&(_, len)| len)
                 .unwrap();
-            let mut lens = ecco_entropy::MultiEncodedLen::new(&meta.books[kp]);
+            let mut lens = ecco_entropy::MultiEncodedLen::new(&meta.books()[kp]);
             lens.push_slice(&symbols);
             assert_eq!(lens.best(), baseline);
-            let (_, info) = encode_group(g, &meta, PatternSelector::MseOptimal);
+            let (_, info) = encode_group(g, &meta, sc, PatternSelector::MseOptimal);
             assert_eq!(info.book_id, baseline.0, "encoder must pick the same book");
         }
     }
@@ -916,14 +901,15 @@ mod tests {
             .seeded(16)
             .generate();
         let meta = meta_for(&t);
+        let sc = meta.calibration_scale();
         let g = t.groups(128).next().unwrap();
-        let (block, _) = encode_group(g, &meta, PatternSelector::MseOptimal);
+        let (block, _) = encode_group(g, &meta, sc, PatternSelector::MseOptimal);
         // Corrupt the scale byte into NaN (0x7F) — bits 2..10 hold SF.
         let mut bytes = *block.as_bytes();
         bytes[0] |= 0x3F; // high 6 bits of SF
         bytes[1] |= 0xC0; // low 2 bits of SF
         let bad = Block64::from_bytes(bytes);
-        let err = decode_group(&bad, &meta).unwrap_err();
+        let err = decode_group(&bad, &meta, sc).unwrap_err();
         assert_eq!(err.kind, DecodeErrorKind::BadScaleFactor);
         assert_eq!(err, DecodeErrorKind::BadScaleFactor.into());
         assert_eq!(err.to_string(), "scale factor is NaN");
@@ -935,6 +921,7 @@ mod tests {
             .seeded(17)
             .generate();
         let meta = meta_for(&t);
+        let sc = meta.calibration_scale();
         let mut state = 0x12345678u64;
         for _ in 0..200 {
             let mut bytes = [0u8; 64];
@@ -943,7 +930,7 @@ mod tests {
                 *b = (state >> 33) as u8;
             }
             let block = Block64::from_bytes(bytes);
-            if let Ok((vals, _)) = decode_group(&block, &meta) {
+            if let Ok((vals, _)) = decode_group(&block, &meta, sc) {
                 assert_eq!(vals.len(), 128)
             }
         }
@@ -968,9 +955,10 @@ mod tests {
     /// Fused and two-pass decodes of one block must agree exactly —
     /// values bitwise (including signed zeros), info, and error kind.
     fn assert_fused_matches_two_pass(block: &Block64, meta: &TensorMetadata) {
-        let two_pass = decode_group_two_pass(block, meta);
+        let scale = meta.calibration_scale();
+        let two_pass = decode_group_two_pass(block, meta, scale);
         let mut fused_vals = vec![7.0f32; 3]; // nonzero base pins append
-        let fused = decode_group_into(block, meta, &mut fused_vals);
+        let fused = decode_group_into(block, meta, scale, &mut fused_vals);
         match (two_pass, fused) {
             (Ok((vals, info)), Ok(finfo)) => {
                 assert_eq!(&fused_vals[..3], &[7.0f32; 3], "fused decode must append");
@@ -997,36 +985,31 @@ mod tests {
             .seeded(19)
             .generate();
         let meta = meta_for(&t);
+        let sc = meta.calibration_scale();
 
         // All-zero group: scale 0, every value table slot reconstructs 0.
         let zeros = vec![0f32; 128];
-        let (zb, _) = encode_group(&zeros, &meta, PatternSelector::MseOptimal);
+        let (zb, _) = encode_group(&zeros, &meta, sc, PatternSelector::MseOptimal);
         assert_fused_matches_two_pass(&zb, &meta);
-        let (out, _) = decode_group(&zb, &meta).unwrap();
+        let (out, _) = decode_group(&zb, &meta, sc).unwrap();
         assert!(out.iter().all(|&v| v == 0.0));
 
         // Signed extreme (negative absmax → negative signed scale at the
         // SCALE_SYMBOL slot) and ordinary healthy groups.
         let mut g: Vec<f32> = (0..128).map(|i| (i as f32 - 64.0) * 0.01).collect();
         g[9] = -9.5; // negative absmax
-        let (sb, _) = encode_group(&g, &meta, PatternSelector::MseOptimal);
+        let (sb, _) = encode_group(&g, &meta, sc, PatternSelector::MseOptimal);
         assert_fused_matches_two_pass(&sb, &meta);
-        let (out, _) = decode_group(&sb, &meta).unwrap();
+        let (out, _) = decode_group(&sb, &meta, sc).unwrap();
         assert!(out[9] < 0.0, "signed absmax lost its sign: {}", out[9]);
         for g in t.groups(128) {
-            let (b, _) = encode_group(g, &meta, PatternSelector::MseOptimal);
+            let (b, _) = encode_group(g, &meta, sc, PatternSelector::MseOptimal);
             assert_fused_matches_two_pass(&b, &meta);
         }
 
         // Clipped tail: uniform 4-bit books force 128×4 = 512 bits > budget.
-        let mut clip_meta = meta.clone();
-        let uniform = ecco_entropy::Codebook::from_frequencies(&[1u64; 16], 4, 4).unwrap();
-        for row in &mut clip_meta.books {
-            for b in row {
-                *b = uniform.clone();
-            }
-        }
-        let (cb, cinfo) = encode_group(&g, &clip_meta, PatternSelector::MseOptimal);
+        let clip_meta = with_uniform_books(&meta, 128);
+        let (cb, cinfo) = encode_group(&g, &clip_meta, sc, PatternSelector::MseOptimal);
         assert!(cinfo.clipped_symbols > 0, "clipping must occur");
         assert_fused_matches_two_pass(&cb, &clip_meta);
     }
@@ -1045,10 +1028,11 @@ mod tests {
         }
         let t = Tensor::from_vec(64, 128, data);
         let meta = meta_for(&t);
+        let sc = meta.calibration_scale();
         let mut g = vec![0.01f32; 128];
         g[5] = 8.0;
         g[77] = 6.0;
-        let (block, info) = encode_group(&g, &meta, PatternSelector::MseOptimal);
+        let (block, info) = encode_group(&g, &meta, sc, PatternSelector::MseOptimal);
         assert!(info.padded_outliers > 0, "need padding space: {info:?}");
         let data_end = info.header_bits + info.data_bits;
 
@@ -1057,7 +1041,7 @@ mod tests {
         set_bits(&mut bytes, data_end + 7, 8, 0x7F);
         let nan_block = Block64::from_bytes(bytes);
         assert_fused_matches_two_pass(&nan_block, &meta);
-        let (_, dinfo) = decode_group(&nan_block, &meta).unwrap();
+        let (_, dinfo) = decode_group(&nan_block, &meta, sc).unwrap();
         assert_eq!(
             dinfo.applied_outliers,
             info.padded_outliers - 1,
@@ -1078,19 +1062,13 @@ mod tests {
         let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512)
             .seeded(21)
             .generate();
-        let mut meta = meta_for(&t);
-        let uniform = ecco_entropy::Codebook::from_frequencies(&[1u64; 16], 4, 4).unwrap();
-        for row in &mut meta.books {
-            for b in row {
-                *b = uniform.clone();
-            }
-        }
+        let meta = with_uniform_books(&meta_for(&t), 128);
+        let sc = meta.calibration_scale();
         let g: Vec<f32> = (0..128).map(|i| (i as f32 - 64.0) * 0.01).collect();
-        let (block, _) = encode_group(&g, &meta, PatternSelector::MseOptimal);
+        let (block, _) = encode_group(&g, &meta, sc, PatternSelector::MseOptimal);
         let data_start = parse_block_header(&block, &meta).unwrap().data_start;
 
-        let mut small_meta = meta.clone();
-        small_meta.group_size = 64;
+        let small_meta = with_uniform_books(&meta, 64);
         let data_end = data_start + 64 * 4;
         let n_out = (BLOCK_BITS - data_end) / OUTLIER_BITS;
         assert!(n_out >= 2, "need at least two outlier slots: {n_out}");
@@ -1107,17 +1085,13 @@ mod tests {
         }
         let crafted = Block64::from_bytes(bytes);
         assert_fused_matches_two_pass(&crafted, &small_meta);
-        let (out, dinfo) = decode_group(&crafted, &small_meta).unwrap();
+        let (out, dinfo) = decode_group(&crafted, &small_meta, sc).unwrap();
         assert_eq!(out.len(), 64);
         assert_eq!(
             dinfo.applied_outliers, 1,
             "only the in-range, non-NaN outlier may apply"
         );
-        let want = ecco_numerics::round_f16(
-            small_meta
-                .tensor_scale
-                .expand(F8E4M3::from_bits(0x30).to_f32()),
-        );
+        let want = ecco_numerics::round_f16(sc.expand(F8E4M3::from_bits(0x30).to_f32()));
         assert_eq!(out[10].to_bits(), want.to_bits());
     }
 
@@ -1144,13 +1118,14 @@ mod tests {
         fn block_always_64_bytes_and_stats_consistent(seed in 0u64..1000) {
             let t = SynthSpec::for_kind(TensorKind::KCache, 4, 512).seeded(seed).generate();
             let meta = meta_for(&t);
+            let sc = meta.calibration_scale();
             for g in t.groups(128) {
-                let (block, info) = encode_group(g, &meta, PatternSelector::MinMax);
+                let (block, info) = encode_group(g, &meta, sc, PatternSelector::MinMax);
                 prop_assert_eq!(block.as_bytes().len(), 64);
                 let used = info.header_bits + info.data_bits
                     + info.padded_outliers * OUTLIER_BITS;
                 prop_assert!(used <= 512, "used {} bits", used);
-                let (out, dinfo) = decode_group(&block, &meta).unwrap();
+                let (out, dinfo) = decode_group(&block, &meta, sc).unwrap();
                 prop_assert_eq!(out.len(), 128);
                 prop_assert_eq!(dinfo.clipped_symbols, info.clipped_symbols);
                 prop_assert_eq!(dinfo.applied_outliers, info.padded_outliers);

@@ -11,14 +11,13 @@
 //!   the calibration set through the model; this reproduction uses
 //!   synthetic KV tensors of the same distribution family).
 
+use ecco_numerics::Po2Scale;
 use ecco_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
-use crate::block::{decode_group, decode_group_into, encode_group_scratch, DecodeError};
+use crate::block::{decode_group_into, DecodeError};
 use crate::metadata::{PatternSelector, TensorMetadata};
 use crate::metrics::CodecStats;
 use crate::parallel::{BatchOutcome, RecoveryPolicy};
-use crate::select::GroupScratch;
 use crate::weight::CompressedTensor;
 use crate::EccoConfig;
 
@@ -39,7 +38,7 @@ pub const KV_PATTERNS: usize = 16;
 /// assert_eq!(ct.ratio_vs_fp16(), 4.0);
 /// assert!(stats.nmse() < 0.05);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KvCodec {
     meta: TensorMetadata,
 }
@@ -50,7 +49,7 @@ impl KvCodec {
     /// and calibration statistics are collected under the min/max selector
     /// so codebooks match runtime symbol distributions.
     ///
-    /// Calibration runs across the rayon pool and is bit-identical to the
+    /// Calibration runs across the worker pool and is bit-identical to the
     /// sequential reference (see [`TensorMetadata::calibrate`]); the
     /// min/max selection the *online* compressor performs per group stays
     /// as cheap as the hardware's two comparisons per pattern.
@@ -92,32 +91,28 @@ impl KvCodec {
     }
 
     /// Compresses with an explicit selector (ablation support).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor length is not a multiple of the group size.
     pub fn compress_with(
         &self,
         tensor: &Tensor,
         selector: PatternSelector,
     ) -> (CompressedTensor, CodecStats) {
+        let gs = self.meta.group_size();
+        assert_eq!(tensor.len() % gs, 0, "tensor not a multiple of group size");
         let scale = TensorMetadata::scale_for(tensor);
-        let meta = self.meta.with_scale(scale);
-        let mut stats = CodecStats::default();
-        let mut blocks = Vec::with_capacity(tensor.len() / meta.group_size);
-        // One fused-selection scratch reused across the tensor's groups.
-        let mut scratch = GroupScratch::new();
-        for g in tensor.groups(meta.group_size) {
-            let (block, info) = encode_group_scratch(g, &meta, selector, &mut scratch);
-            stats.record(&info, meta.group_size);
-            let (out, _) = decode_group(&block, &meta).expect("own blocks decode");
-            stats.record_error(g, &out);
-            blocks.push(block);
-        }
+        let (blocks, stats) = crate::parallel::encode_run(
+            tensor.data(),
+            &self.meta,
+            scale,
+            selector,
+            0,
+            tensor.len() / gs,
+        );
         (
-            CompressedTensor::from_parts(
-                tensor.rows(),
-                tensor.cols(),
-                meta.group_size,
-                scale,
-                blocks,
-            ),
+            CompressedTensor::from_parts(tensor.rows(), tensor.cols(), gs, scale, blocks),
             stats,
         )
     }
@@ -134,20 +129,21 @@ impl KvCodec {
     /// Panics if any tensor's length is not a multiple of the group
     /// size (checked up front, before any encoding starts).
     pub fn compress_batch(&self, tensors: &[&Tensor]) -> Vec<(CompressedTensor, CodecStats)> {
-        let gs = self.meta.group_size;
+        let gs = self.meta.group_size();
         for t in tensors {
             assert_eq!(t.len() % gs, 0, "tensor not a multiple of group size");
         }
-        let metas: Vec<TensorMetadata> = tensors
+        let scales: Vec<Po2Scale> = tensors
             .iter()
-            .map(|t| self.meta.with_scale(TensorMetadata::scale_for(t)))
+            .map(|t| TensorMetadata::scale_for(t))
             .collect();
         let counts: Vec<usize> = tensors.iter().map(|t| t.len() / gs).collect();
 
         let encoded = crate::parallel::encode_tensors_batch_with(&counts, |ti, lo, hi| {
             crate::parallel::encode_run(
                 tensors[ti].data(),
-                &metas[ti],
+                &self.meta,
+                scales[ti],
                 PatternSelector::MinMax,
                 lo,
                 hi,
@@ -157,10 +153,10 @@ impl KvCodec {
         encoded
             .into_iter()
             .zip(tensors)
-            .zip(metas)
-            .map(|(((blocks, stats), t), meta)| {
+            .zip(scales)
+            .map(|(((blocks, stats), t), scale)| {
                 (
-                    CompressedTensor::from_parts(t.rows(), t.cols(), gs, meta.tensor_scale, blocks),
+                    CompressedTensor::from_parts(t.rows(), t.cols(), gs, scale, blocks),
                     stats,
                 )
             })
@@ -210,10 +206,9 @@ impl KvCodec {
 
     /// Decompresses a KV tensor.
     pub fn decompress(&self, ct: &CompressedTensor) -> Tensor {
-        let meta = self.meta.with_scale(ct.tensor_scale());
         let mut data = Vec::with_capacity(ct.rows() * ct.cols());
         for b in ct.blocks() {
-            decode_group_into(b, &meta, &mut data).expect("valid block");
+            decode_group_into(b, &self.meta, ct.tensor_scale(), &mut data).expect("valid block");
         }
         Tensor::from_vec(ct.rows(), ct.cols(), data)
     }
@@ -304,7 +299,7 @@ mod tests {
         assert!(report[0].is_ok(), "healthy tensor unaffected");
         match &report[1] {
             BatchOutcome::Salvaged { values, bad_blocks } => {
-                let gs = codec.metadata().group_size;
+                let gs = codec.metadata().group_size();
                 let want = codec.decompress(&good);
                 assert_eq!(&values[..2 * gs], &want.data()[..2 * gs]);
                 assert!(values[2 * gs..3 * gs].iter().all(|&v| v == 0.0));
@@ -333,12 +328,13 @@ mod tests {
         // must stay in the same quality class.
         let t = kv_tensor(3);
         let codec = KvCodec::calibrate(&[&t], &EccoConfig::default());
-        let meta = codec.metadata().with_scale(TensorMetadata::scale_for(&t));
+        let meta = codec.metadata();
+        let scale = TensorMetadata::scale_for(&t);
 
         let mut fit_mse = 0.0;
         let mut fit_mm = 0.0;
         for g in t.groups(128) {
-            let ng = crate::normalize_group(g, meta.tensor_scale);
+            let ng = crate::normalize_group(g, scale);
             let vals: Vec<f32> = ng
                 .values
                 .iter()
@@ -348,8 +344,8 @@ mod tests {
                 .collect();
             let kp_mse = meta.select_pattern(&ng, crate::PatternSelector::MseOptimal);
             let kp_mm = meta.select_pattern(&ng, crate::PatternSelector::MinMax);
-            fit_mse += meta.patterns[kp_mse].sq_error(&vals);
-            fit_mm += meta.patterns[kp_mm].sq_error(&vals);
+            fit_mse += meta.patterns()[kp_mse].sq_error(&vals);
+            fit_mm += meta.patterns()[kp_mm].sq_error(&vals);
         }
         assert!(fit_mse <= fit_mm + 1e-9, "MSE-optimal fit can't be worse");
 

@@ -6,7 +6,9 @@
 //! 64-byte block at 2× for activations. The 4× format combines:
 //!
 //! * a per-tensor **power-of-two FP16→FP8 scale** and per-group **FP8 scale
-//!   factor** (the group absmax),
+//!   factor** (the group absmax) — the only per-tensor state: the shared
+//!   codec tables ([`TensorMetadata`]) are built once and read-only, and
+//!   every encoder and decoder takes the tensor's scale as an argument,
 //! * **group-wise non-uniform quantization** against `S` shared k-means
 //!   patterns of 15 centroids each,
 //! * **multi-codebook Huffman coding** (`H` codebooks per pattern, code
@@ -27,8 +29,9 @@
 //!
 //! # Parallelism and determinism
 //!
-//! Every hot path is sharded across the rayon pool with order-preserving
-//! merges, so parallel and sequential runs are **bit-identical**:
+//! Every hot path is sharded across the persistent worker pool
+//! ([`pool`]) with order-preserving merges, so parallel and sequential
+//! runs are **bit-identical**:
 //!
 //! * offline calibration ([`TensorMetadata::calibrate`]) fans out group
 //!   normalization, the per-group k-means fits, histogram collection and
@@ -86,9 +89,8 @@ pub use adaptive::{AdaptiveBlock, AdaptiveCodec, AdaptivePolicy, AdaptiveStats, 
 pub use block::{
     decode_group, decode_group_into, decode_group_two_pass, decode_group_with, encode_group,
     encode_group_scratch, encode_group_unpadded, encode_group_unpadded_scratch,
-    encode_group_weighted_scratch, encode_group_with_pattern, parse_block_header,
-    validate_data_book, BlockHeader, BlockValueTable, DecodeError, DecodeErrorKind,
-    EncodedGroupInfo,
+    encode_group_weighted_scratch, encode_group_with_pattern, parse_block_header, BlockHeader,
+    BlockValueTable, DecodeError, DecodeErrorKind, EncodedGroupInfo,
 };
 pub use group::{normalize_group, NormalizedGroup};
 pub use kv::KvCodec;

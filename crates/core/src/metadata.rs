@@ -1,14 +1,13 @@
 //! Tensor-level metadata and offline calibration (steps 1–7 of Figure 4).
 
-use std::sync::{Arc, OnceLock};
-
 use ecco_entropy::huffman::Codebook;
 use ecco_entropy::MultiLenTable;
-use ecco_kmeans::{fit_scalar_batch, fit_vectors, KmeansConfig, ScalarJob};
+use ecco_kmeans::{fit_vectors, KmeansConfig, ScalarJob};
 use ecco_numerics::{Po2Scale, F8E4M3};
 use ecco_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
+use crate::block::{DecodeError, DecodeErrorKind};
 use crate::group::{normalize_group, NormalizedGroup};
 use crate::pattern::{
     shared_patterns, KmeansPattern, PatternBoundaries, NUM_CENTROIDS, SCALE_SYMBOL, SYMBOL_COUNT,
@@ -28,49 +27,98 @@ pub enum PatternSelector {
     MinMax,
 }
 
-/// Everything the decompressor preloads before touching blocks: shared
-/// patterns, Huffman codebooks, the pattern-id code and the tensor scale.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Largest believable `ID_HF` width: 2^16 codebooks per pattern is far
+/// past any real configuration.
+const MAX_ID_HF_BITS: u32 = 16;
+/// Largest group size a table set may declare.
+pub(crate) const MAX_GROUP_SIZE: usize = 1 << 16;
+
+/// The shared codec tables every encoder and decoder reads: the `S`
+/// k-means patterns, the `S × H` Huffman books, the pattern-id code, and
+/// the encoder's per-pattern length and decision-boundary tables derived
+/// from them.
+///
+/// Calibrated once and shared read-only across tensors (paper steps 4–7).
+/// Calibration and [`crate::wire::decode_metadata`] both build it through
+/// [`TensorMetadata::from_parts`], which validates every table and builds
+/// the derived ones, so a value of this type is always decodable and
+/// encodable through. The per-tensor FP16→FP8 scale is not part of it:
+/// encoders and decoders take the tensor's [`Po2Scale`] as an argument.
+#[derive(Clone, Debug)]
 pub struct TensorMetadata {
-    /// Per-tensor FP16→FP8 power-of-two scale.
-    pub tensor_scale: Po2Scale,
-    /// The `S` shared k-means patterns.
-    pub patterns: Vec<KmeansPattern>,
-    /// `H` Huffman codebooks per pattern, indexed `[pattern][book]`.
-    pub books: Vec<Vec<Codebook>>,
-    /// Variable-length canonical code over pattern ids (the `ID_KP` field).
-    pub pattern_code: Codebook,
-    /// Width of the `ID_HF` field in bits.
-    pub id_hf_bits: u32,
-    /// Values per group (always 128 in the 4× format).
-    pub group_size: usize,
-    /// Lazily-built packed length tables, one per pattern, for the
-    /// encoder's single-pass codebook selection; shared (via `Arc`) by
-    /// clones made after first use. Not serialized — the outer `OnceLock`
-    /// re-sizes the slot array from `books` on first access, so
-    /// deserialized metadata self-heals without a rebuild; replacing
-    /// `books` by field access requires
-    /// [`TensorMetadata::rebuild_tables`] to stay coherent (it also
-    /// restores the codebook decode LUTs, which do need it).
-    #[serde(skip)]
-    len_tables: OnceLock<Vec<OnceLock<Arc<MultiLenTable>>>>,
-    /// Lazily-built per-pattern decision boundaries (the 14 centroid
-    /// midpoints) for the encoder's fused selection sweep; shared (via
-    /// `Arc`) by clones made after first use. Not serialized — derived
-    /// from `patterns` on first access, so deserialized metadata works
-    /// without a rebuild; replacing `patterns` by field access requires
-    /// [`TensorMetadata::rebuild_tables`] to stay coherent.
-    #[serde(skip)]
-    bounds: OnceLock<Arc<Vec<PatternBoundaries>>>,
+    calibration_scale: Po2Scale,
+    patterns: Vec<KmeansPattern>,
+    /// Indexed `[pattern][book]`.
+    books: Vec<Vec<Codebook>>,
+    pattern_code: Codebook,
+    id_hf_bits: u32,
+    group_size: usize,
+    /// Packed per-symbol length lanes of each pattern's books, for the
+    /// encoder's single-pass codebook selection.
+    len_tables: Vec<MultiLenTable>,
+    /// Each pattern's 14 centroid midpoints, for the encoder's fused
+    /// selection sweep.
+    bounds: Vec<PatternBoundaries>,
 }
 
 impl TensorMetadata {
+    /// Assembles a table set from its parts, validating all of them and
+    /// building the derived encoder tables.
+    ///
+    /// `calibration_scale` is the FP8 scale of the calibration set. It is
+    /// recorded (and serialized) but never read by an encode or decode.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeErrorKind::CorruptCodebook`] when a data book is not a
+    /// 2..=8-bit code over exactly [`SYMBOL_COUNT`] symbols.
+    /// [`DecodeErrorKind::CorruptMetadata`] when the structure does not
+    /// hold together: no patterns, a book table whose shape is not
+    /// `S × H` with `H ≥ 1`, an `ID_HF` wider than 16 bits or too narrow
+    /// to name every book, a pattern code that cannot name every pattern,
+    /// or a group size outside `1..=65536`.
+    pub fn from_parts(
+        calibration_scale: Po2Scale,
+        patterns: Vec<KmeansPattern>,
+        books: Vec<Vec<Codebook>>,
+        pattern_code: Codebook,
+        id_hf_bits: u32,
+        group_size: usize,
+    ) -> Result<TensorMetadata, DecodeError> {
+        let corrupt = || DecodeError::new(DecodeErrorKind::CorruptMetadata);
+        let h = books.first().map_or(0, Vec::len);
+        if patterns.is_empty()
+            || books.len() != patterns.len()
+            || h == 0
+            || books.iter().any(|row| row.len() != h)
+            || id_hf_bits > MAX_ID_HF_BITS
+            || h > 1 << id_hf_bits
+            || pattern_code.num_symbols() < patterns.len()
+            || !(1..=MAX_GROUP_SIZE).contains(&group_size)
+        {
+            return Err(corrupt());
+        }
+        if !books.iter().flatten().all(|b| is_data_book(b.lengths())) {
+            return Err(DecodeError::new(DecodeErrorKind::CorruptCodebook));
+        }
+        Ok(TensorMetadata {
+            len_tables: books.iter().map(|row| MultiLenTable::new(row)).collect(),
+            bounds: patterns.iter().map(KmeansPattern::boundaries).collect(),
+            calibration_scale,
+            patterns,
+            books,
+            pattern_code,
+            id_hf_bits,
+            group_size,
+        })
+    }
+
     /// Runs the full offline calibration over the provided tensors.
     ///
     /// The heavy stages — group normalization, the per-group 15-cluster
     /// k-means fits (step 3), pattern assignment with symbol-histogram
     /// collection (step 5) and per-pattern codebook construction (steps
-    /// 6–7) — are sharded across the rayon pool. Every stage merges its
+    /// 6–7) — are sharded across the worker pool. Every stage merges its
     /// shards in group (or pattern) order and every stochastic step is
     /// seeded per group, so the result is **bit-identical** to the
     /// sequential reference [`TensorMetadata::calibrate_weighted_seq`]
@@ -99,7 +147,7 @@ impl TensorMetadata {
     /// `col_mags`, when given, holds one mean-|activation| vector per
     /// tensor, with length equal to that tensor's column count.
     ///
-    /// Runs across the rayon pool with the same determinism guarantee as
+    /// Runs across the worker pool with the same determinism guarantee as
     /// [`TensorMetadata::calibrate`]: output is bit-identical to
     /// [`TensorMetadata::calibrate_weighted_seq`].
     ///
@@ -184,45 +232,52 @@ impl TensorMetadata {
     }
 
     /// The per-pattern decision-boundary tables (14 centroid midpoints
-    /// each) behind the fused selection sweep — built from `patterns` on
-    /// first use and shared (via `Arc`) by every clone made after that.
+    /// each) behind the fused selection sweep.
     pub fn boundaries(&self) -> &[PatternBoundaries] {
-        self.bounds.get_or_init(|| {
-            Arc::new(
-                self.patterns
-                    .iter()
-                    .map(KmeansPattern::boundaries)
-                    .collect(),
-            )
-        })
-    }
-
-    /// Returns a copy bound to a different per-tensor FP16→FP8 scale.
-    ///
-    /// Patterns and codebooks are shared across tensors (they operate on
-    /// absmax-normalized values), but the power-of-two scale is per-tensor
-    /// metadata: each compressed tensor carries its own so FP8 scale
-    /// factors never saturate on tensors larger-ranged than the
-    /// calibration set.
-    pub fn with_scale(&self, tensor_scale: Po2Scale) -> TensorMetadata {
-        TensorMetadata {
-            tensor_scale,
-            ..self.clone()
-        }
+        &self.bounds
     }
 
     /// The packed per-symbol length table for pattern `kp`'s codebooks —
-    /// the encoder's single-pass selection primitive — built on first use
-    /// and shared (via `Arc`) by every clone made after that. The slot
-    /// array itself materializes lazily from `books`, so the cache works
-    /// (and self-heals) on freshly deserialized metadata too.
+    /// the encoder's single-pass selection primitive.
     ///
-    /// Returns `None` only for an out-of-range `kp`.
-    pub fn len_table(&self, kp: usize) -> Option<&MultiLenTable> {
-        self.len_tables
-            .get_or_init(|| empty_len_tables(self.books.len()))
-            .get(kp)
-            .map(|slot| &**slot.get_or_init(|| Arc::new(MultiLenTable::new(&self.books[kp]))))
+    /// # Panics
+    ///
+    /// Panics if `kp` is out of range.
+    pub fn len_table(&self, kp: usize) -> &MultiLenTable {
+        &self.len_tables[kp]
+    }
+
+    /// The `S` shared k-means patterns.
+    pub fn patterns(&self) -> &[KmeansPattern] {
+        &self.patterns
+    }
+
+    /// The `H` Huffman codebooks per pattern, indexed `[pattern][book]`.
+    pub fn books(&self) -> &[Vec<Codebook>] {
+        &self.books
+    }
+
+    /// The variable-length canonical code over pattern ids (the `ID_KP`
+    /// field).
+    pub fn pattern_code(&self) -> &Codebook {
+        &self.pattern_code
+    }
+
+    /// Width of the `ID_HF` field in bits.
+    pub fn id_hf_bits(&self) -> u32 {
+        self.id_hf_bits
+    }
+
+    /// Values per group (always 128 in the 4× format).
+    pub fn group_size(&self) -> usize {
+        self.group_size
+    }
+
+    /// The FP8 scale of the calibration set, recorded in the `ECCM`
+    /// snapshot. Encoding and decoding use each tensor's own scale
+    /// ([`TensorMetadata::scale_for`]) instead.
+    pub fn calibration_scale(&self) -> Po2Scale {
+        self.calibration_scale
     }
 
     /// The scale a given tensor should be compressed under.
@@ -256,43 +311,6 @@ impl TensorMetadata {
         let pattern_code_bytes = self.patterns.len().div_ceil(2);
         pattern_bytes + book_bytes + pattern_code_bytes + 1 // +1: tensor scale exp
     }
-
-    /// Assembles metadata from revived wire-format parts (see
-    /// [`crate::wire`]). The derived caches start empty, exactly as
-    /// deserialization leaves them, and self-heal on first use; the parts
-    /// themselves must already be validated by the caller.
-    pub(crate) fn from_wire_parts(
-        tensor_scale: Po2Scale,
-        patterns: Vec<KmeansPattern>,
-        books: Vec<Vec<Codebook>>,
-        pattern_code: Codebook,
-        id_hf_bits: u32,
-        group_size: usize,
-    ) -> TensorMetadata {
-        TensorMetadata {
-            tensor_scale,
-            patterns,
-            books,
-            pattern_code,
-            id_hf_bits,
-            group_size,
-            len_tables: OnceLock::new(),
-            bounds: OnceLock::new(),
-        }
-    }
-
-    /// Restores the non-serialized encode/decode tables after
-    /// deserialization (or after replacing `books` in place).
-    pub fn rebuild_tables(&mut self) {
-        for row in &mut self.books {
-            for b in row {
-                b.rebuild_tables();
-            }
-        }
-        self.pattern_code.rebuild_tables();
-        self.len_tables = OnceLock::new();
-        self.bounds = OnceLock::new();
-    }
 }
 
 /// One sampled calibration group with its precomputed non-absmax views —
@@ -314,7 +332,7 @@ struct Pick {
     col0: usize,
 }
 
-/// Maps `f(index, item)` over `items`, either across the rayon pool
+/// Maps `f(index, item)` over `items`, either across the worker pool
 /// (order-preserving; see [`crate::parallel::par_map_indexed`]) or in a
 /// plain sequential loop — the single switch that makes the parallel and
 /// reference calibrations share one body.
@@ -329,6 +347,13 @@ where
     } else {
         items.iter().enumerate().map(|(i, x)| f(i, x)).collect()
     }
+}
+
+/// The parallel-decode constraint of the format on a data book's code
+/// lengths: every code is 2..=8 bits, over the 15 centroids plus the
+/// scale symbol.
+pub(crate) fn is_data_book(lengths: &[u8]) -> bool {
+    lengths.len() == SYMBOL_COUNT && lengths.iter().all(|l| (2..=8).contains(l))
 }
 
 /// The calibration body shared by the parallel entry point and the
@@ -362,7 +387,7 @@ fn calibrate_impl(
 
     // Step 2 prerequisite: global FP16→FP8 scale.
     let absmax = tensors.iter().map(|t| t.absmax()).fold(0.0f32, f32::max);
-    let tensor_scale = Po2Scale::for_absmax(absmax, F8E4M3::MAX_FINITE);
+    let calibration_scale = Po2Scale::for_absmax(absmax, F8E4M3::MAX_FINITE);
 
     // Sample calibration groups evenly across all tensors. Deciding which
     // groups to keep is pure index math and stays sequential; the actual
@@ -392,7 +417,7 @@ fn calibrate_impl(
     // keeping the squared channel magnitudes of each group's columns.
     let sampled: Vec<SampledGroup> = map_ordered(parallel, &picks, |_, p| {
         let group = &tensors[p.ti].data()[p.start..p.start + cfg.group_size];
-        let ng = normalize_group(group, tensor_scale);
+        let ng = normalize_group(group, calibration_scale);
         let w2: Option<Vec<f32>> = col_mags.map(|mags| {
             mags[p.ti][p.col0..p.col0 + cfg.group_size]
                 .iter()
@@ -443,11 +468,7 @@ fn calibrate_impl(
         })
         .collect();
     let km_cfg = KmeansConfig::with_k(NUM_CENTROIDS);
-    let fits = if parallel {
-        fit_scalar_batch(&jobs, &km_cfg)
-    } else {
-        jobs.iter().map(|j| j.fit(&km_cfg)).collect()
-    };
+    let fits = map_ordered(parallel, &jobs, |_, j| j.fit(&km_cfg));
     let per_group: Vec<KmeansPattern> = fits.iter().map(KmeansPattern::from_fit).collect();
 
     // Step 4: S shared patterns (one global fit; Lloyd iterations are
@@ -499,21 +520,15 @@ fn calibrate_impl(
     let pattern_code =
         Codebook::from_frequencies(&smoothed, 1, 15).expect("S ≤ 4096 fits 15-bit codes");
 
-    TensorMetadata {
-        tensor_scale,
+    TensorMetadata::from_parts(
+        calibration_scale,
         patterns,
         books,
         pattern_code,
-        id_hf_bits: cfg.id_hf_bits(),
-        group_size: cfg.group_size,
-        len_tables: OnceLock::new(),
-        bounds: OnceLock::new(),
-    }
-}
-
-/// One unbuilt cache slot per pattern.
-fn empty_len_tables(patterns: usize) -> Vec<OnceLock<Arc<MultiLenTable>>> {
-    (0..patterns).map(|_| OnceLock::new()).collect()
+        cfg.id_hf_bits(),
+        cfg.group_size,
+    )
+    .expect("calibration builds valid tables")
 }
 
 /// Clusters per-group symbol histograms into `h` representative
@@ -549,7 +564,10 @@ mod tests {
 
     /// Field-by-field bit-identity check between two calibrations.
     fn assert_meta_identical(a: &TensorMetadata, b: &TensorMetadata) {
-        assert_eq!(a.tensor_scale, b.tensor_scale, "tensor scale");
+        assert_eq!(
+            a.calibration_scale, b.calibration_scale,
+            "calibration scale"
+        );
         assert_eq!(a.patterns, b.patterns, "shared patterns");
         assert_eq!(a.books, b.books, "codebooks");
         assert_eq!(
@@ -598,7 +616,7 @@ mod tests {
         let mut mse_total = 0.0;
         let mut minmax_total = 0.0;
         for g in t.groups(128).take(64) {
-            let ng = normalize_group(g, meta.tensor_scale);
+            let ng = normalize_group(g, meta.calibration_scale);
             let vals: Vec<f32> = ng
                 .values
                 .iter()
@@ -634,7 +652,7 @@ mod tests {
         // in popularity (canonical Huffman property).
         let mut usage = vec![0u64; meta.num_patterns()];
         for g in t.groups(128) {
-            let ng = normalize_group(g, meta.tensor_scale);
+            let ng = normalize_group(g, meta.calibration_scale);
             usage[meta.select_pattern(&ng, PatternSelector::MseOptimal)] += 1;
         }
         let most = (0..usage.len()).max_by_key(|&i| usage[i]).unwrap();
@@ -646,50 +664,56 @@ mod tests {
     }
 
     #[test]
-    fn caches_self_heal_after_rebuild() {
-        // rebuild_tables leaves the lazy caches in the same empty state
-        // deserialization does; both must rebuild themselves on first
-        // access instead of degrading to per-call table packing.
+    fn from_parts_rejects_incoherent_tables() {
         let t = weight_tensor(9);
-        let mut meta = TensorMetadata::calibrate(&[&t], &small_cfg(), PatternSelector::MseOptimal);
-        assert!(meta.len_table(0).is_some());
-        meta.rebuild_tables();
-        assert!(
-            meta.len_table(0).is_some(),
-            "len table cache must self-heal"
-        );
+        let meta = TensorMetadata::calibrate(&[&t], &small_cfg(), PatternSelector::MseOptimal);
+        let parts = |m: &TensorMetadata| {
+            (
+                m.patterns.clone(),
+                m.books.clone(),
+                m.pattern_code.clone(),
+                m.id_hf_bits,
+                m.group_size,
+            )
+        };
+        let build = |(patterns, books, code, bits, gs): (_, _, _, u32, usize)| {
+            TensorMetadata::from_parts(meta.calibration_scale, patterns, books, code, bits, gs)
+                .map(|_| ())
+                .map_err(|e| e.kind)
+        };
+        assert_eq!(build(parts(&meta)), Ok(()));
+        assert_eq!(meta.len_table(0).num_books(), meta.books_per_pattern());
         assert_eq!(meta.boundaries().len(), meta.num_patterns());
-        assert!(
-            meta.len_table(meta.num_patterns()).is_none(),
-            "out of range"
-        );
-    }
 
-    #[test]
-    fn serde_revived_metadata_decodes_without_rebuild() {
-        // Regression for the decode-side self-heal: rebuild_tables leaves
-        // every derived cache — the per-pattern length tables, the
-        // boundary tables, AND each codebook's decode LUT + SegmentLut —
-        // in the exact empty state deserialization produces. A block
-        // must decode correctly (and identically) straight from that
-        // state, with no warm-up call.
-        let t = weight_tensor(10);
-        let mut meta = TensorMetadata::calibrate(&[&t], &small_cfg(), PatternSelector::MseOptimal);
-        let g: Vec<f32> = t.groups(128).next().unwrap().to_vec();
-        let (block, _) = crate::block::encode_group(&g, &meta, PatternSelector::MseOptimal);
-        let (want, winfo) = crate::block::decode_group(&block, &meta).unwrap();
+        let metadata = Err(DecodeErrorKind::CorruptMetadata);
+        let mut p = parts(&meta);
+        p.0.pop();
+        assert_eq!(build(p), metadata, "fewer patterns than book rows");
+        let mut p = parts(&meta);
+        p.1[3].pop();
+        assert_eq!(build(p), metadata, "ragged book table");
+        let mut p = parts(&meta);
+        p.2 = Codebook::from_frequencies(&[1; 4], 1, 15).unwrap();
+        assert_eq!(build(p), metadata, "pattern code names 4 of 8 patterns");
+        let mut p = parts(&meta);
+        p.3 = 0;
+        assert_eq!(build(p), metadata, "ID_HF cannot name book 1");
+        let mut p = parts(&meta);
+        p.3 = 17;
+        assert_eq!(build(p), metadata, "ID_HF wider than 16 bits");
+        let mut p = parts(&meta);
+        p.4 = 0;
+        assert_eq!(build(p), metadata, "empty groups");
 
-        meta.rebuild_tables();
-        let (got, ginfo) = crate::block::decode_group(&block, &meta)
-            .expect("revived metadata must decode without rebuild");
-        assert_eq!(want, got, "self-healed decode must be bit-identical");
-        assert_eq!(winfo, ginfo);
-
-        // Encoding from the revived state is bit-identical too (the
-        // encode-side caches self-heal the same way).
-        meta.rebuild_tables();
-        let (block2, _) = crate::block::encode_group(&g, &meta, PatternSelector::MseOptimal);
-        assert_eq!(block, block2);
+        let codebook = Err(DecodeErrorKind::CorruptCodebook);
+        let mut p = parts(&meta);
+        p.1[2][1] =
+            Codebook::from_lengths(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 15])
+                .unwrap();
+        assert_eq!(build(p), codebook, "codes outside 2..=8 bits");
+        let mut p = parts(&meta);
+        p.1[0][0] = Codebook::from_frequencies(&[1; 8], 2, 8).unwrap();
+        assert_eq!(build(p), codebook, "8-symbol data book");
     }
 
     #[test]
@@ -776,7 +800,7 @@ mod tests {
             let w2: Vec<f32> = (0..meta.group_size).map(|i| 0.1 + (i % 9) as f32 * 0.2).collect();
             let mut scratch = GroupScratch::new();
             for g in t.groups(meta.group_size).take(24) {
-                let ng = normalize_group(g, meta.tensor_scale);
+                let ng = normalize_group(g, meta.calibration_scale);
                 let (kp, kp_ref) = if weighted {
                     (
                         meta.select_pattern_weighted_scratch(&ng, &w2, &mut scratch),

@@ -29,6 +29,7 @@
 //! [`decompress_batch_report`], on top of these drivers.
 
 use ecco_bits::Block64;
+use ecco_numerics::Po2Scale;
 use ecco_tensor::Tensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -77,36 +78,38 @@ where
 }
 
 /// Encodes groups `lo..hi` of `data` (a flat `group_size`-aligned value
-/// stream) under `meta`, with the accounting every checked compress
-/// path reports: per-group encode stats plus the self-decode round-trip
-/// error. The single source of truth for that loop — the tensor
-/// pipeline's chunk body and both codecs' batch submissions call this,
-/// so stats stay consistent across every entry point.
+/// stream) under `meta` and the tensor's `scale`, with the accounting
+/// every checked compress path reports: per-group encode stats plus the
+/// self-decode round-trip error. The single source of truth for that
+/// loop — the tensor pipeline's chunk body, [`crate::KvCodec::compress_with`]
+/// and both codecs' batch submissions call this, so stats stay
+/// consistent across every entry point.
 pub(crate) fn encode_run(
     data: &[f32],
     meta: &TensorMetadata,
+    scale: Po2Scale,
     selector: PatternSelector,
     lo: usize,
     hi: usize,
 ) -> (Vec<Block64>, CodecStats) {
-    let gs = meta.group_size;
+    let gs = meta.group_size();
     let mut blocks = Vec::with_capacity(hi - lo);
     let mut stats = CodecStats::default();
     // One selection scratch per run: the fused sweep reuses its
     // sorted-group and symbol buffers for every group here.
     let mut scratch = GroupScratch::new();
     for g in data[lo * gs..hi * gs].chunks_exact(gs) {
-        let (block, info) = encode_group_scratch(g, meta, selector, &mut scratch);
+        let (block, info) = encode_group_scratch(g, meta, scale, selector, &mut scratch);
         stats.record(&info, gs);
-        let (out, _) = decode_group(&block, meta).expect("own blocks decode");
+        let (out, _) = decode_group(&block, meta, scale).expect("own blocks decode");
         stats.record_error(g, &out);
         blocks.push(block);
     }
     (blocks, stats)
 }
 
-/// Encodes every `meta.group_size`-value group of `tensor` into blocks,
-/// in parallel, returning the blocks in group order plus merged encoding
+/// Encodes every `meta.group_size()`-value group of `tensor` into blocks
+/// under the tensor's `scale`, in parallel, returning the blocks in group order plus merged encoding
 /// statistics (including round-trip error, as [`crate::WeightCodec::compress`]
 /// reports).
 ///
@@ -119,9 +122,10 @@ pub(crate) fn encode_run(
 pub fn encode_groups_parallel(
     tensor: &Tensor,
     meta: &TensorMetadata,
+    scale: Po2Scale,
     selector: PatternSelector,
 ) -> (Vec<Block64>, CodecStats) {
-    let gs = meta.group_size;
+    let gs = meta.group_size();
     assert_eq!(tensor.len() % gs, 0, "tensor not a multiple of group size");
     let total = tensor.len() / gs;
     let pool = Pool::current();
@@ -130,7 +134,7 @@ pub fn encode_groups_parallel(
 
     let parts: Vec<(Vec<Block64>, CodecStats)> = pool
         .run_map(total, chunk, |lo, hi| {
-            encode_run(data, meta, selector, lo, hi)
+            encode_run(data, meta, scale, selector, lo, hi)
         })
         .unwrap_or_else(|p| p.resume());
 
@@ -149,9 +153,10 @@ pub fn encode_groups_parallel(
 pub fn encode_groups_parallel_unchecked(
     tensor: &Tensor,
     meta: &TensorMetadata,
+    scale: Po2Scale,
     selector: PatternSelector,
 ) -> (Vec<Block64>, Vec<EncodedGroupInfo>) {
-    let gs = meta.group_size;
+    let gs = meta.group_size();
     assert_eq!(tensor.len() % gs, 0, "tensor not a multiple of group size");
     let total = tensor.len() / gs;
     let pool = Pool::current();
@@ -163,7 +168,7 @@ pub fn encode_groups_parallel_unchecked(
             let mut scratch = GroupScratch::new();
             data[lo * gs..hi * gs]
                 .chunks_exact(gs)
-                .map(|g| encode_group_scratch(g, meta, selector, &mut scratch))
+                .map(|g| encode_group_scratch(g, meta, scale, selector, &mut scratch))
                 .collect()
         })
         .unwrap_or_else(|p| p.resume());
@@ -179,8 +184,9 @@ pub fn encode_groups_parallel_unchecked(
     (blocks, infos)
 }
 
-/// Decodes `blocks` back into a flat value stream, in parallel, in block
-/// order. Bit-identical to calling [`decode_group`] per block.
+/// Decodes the `blocks` of a tensor compressed under `scale` back into a
+/// flat value stream, in parallel, in block order. Bit-identical to
+/// calling [`decode_group`] per block.
 ///
 /// # Errors
 ///
@@ -189,9 +195,10 @@ pub fn encode_groups_parallel_unchecked(
 pub fn decode_groups_parallel(
     blocks: &[Block64],
     meta: &TensorMetadata,
+    scale: Po2Scale,
 ) -> Result<Vec<f32>, DecodeError> {
-    decode_blocks_parallel_with(blocks, meta.group_size, |b, out| {
-        decode_group_into(b, meta, out).map(|_| ())
+    decode_blocks_parallel_with(blocks, meta.group_size(), |b, out| {
+        decode_group_into(b, meta, scale, out).map(|_| ())
     })
 }
 
@@ -522,7 +529,7 @@ fn screen(ct: &CompressedTensor, group_size: usize) -> Result<(), DecodeError> {
 }
 
 /// The one batched decompression body: decodes every slot's compressed
-/// tensor under `meta` (re-scaled per tensor) in **one pool pass** and
+/// tensor under `meta` and the tensor's own scale in **one pool pass** and
 /// returns a per-slot [`BatchOutcome`]. Behind
 /// [`WeightCodec::decompress_batch_report`](crate::WeightCodec::decompress_batch_report),
 /// [`KvCodec::decompress_batch_report`](crate::KvCodec::decompress_batch_report),
@@ -543,7 +550,7 @@ pub fn decompress_batch_report(
     slots: &[Result<&CompressedTensor, DecodeError>],
     policy: RecoveryPolicy,
 ) -> Vec<BatchOutcome> {
-    let gs = meta.group_size;
+    let gs = meta.group_size();
     let screened: Vec<Result<&CompressedTensor, DecodeError>> = slots
         .iter()
         .enumerate()
@@ -553,21 +560,15 @@ pub fn decompress_batch_report(
             Ok(ct)
         })
         .collect();
-    // Per-tensor metadata views (scales differ per tensor); failed slots
-    // enter the pool pass as empty block lists and never decode.
-    let metas: Vec<Option<TensorMetadata>> = screened
-        .iter()
-        .map(|s| s.ok().map(|ct| meta.with_scale(ct.tensor_scale())))
-        .collect();
+    // Failed slots enter the pool pass as empty block lists and never
+    // decode.
     let batch: Vec<&[Block64]> = screened
         .iter()
         .map(|s| s.map_or(&[][..], |ct| ct.blocks()))
         .collect();
     let mut out = decode_tensors_batch_report_with(&batch, gs, policy, |ti, b, out| {
-        let meta = metas[ti]
-            .as_ref()
-            .expect("only screened-in slots have blocks");
-        decode_group_into(b, meta, out).map(|_| ())
+        let ct = screened[ti].expect("only screened-in slots have blocks");
+        decode_group_into(b, meta, ct.tensor_scale(), out).map(|_| ())
     });
     for (slot, s) in out.iter_mut().zip(screened) {
         if let Err(e) = s {
@@ -590,7 +591,7 @@ pub(crate) fn decompress_batch(
     cts: &[&CompressedTensor],
 ) -> Vec<Result<Tensor, DecodeError>> {
     for ct in cts {
-        assert_eq!(ct.group_size(), meta.group_size, "group size mismatch");
+        assert_eq!(ct.group_size(), meta.group_size(), "group size mismatch");
     }
     let slots: Vec<Result<&CompressedTensor, DecodeError>> = cts.iter().map(|&ct| Ok(ct)).collect();
     decompress_batch_report(meta, &slots, RecoveryPolicy::FailTensor)
@@ -673,15 +674,16 @@ mod tests {
             .seeded(301)
             .generate();
         let meta = meta_for(&t);
+        let sc = meta.calibration_scale();
         let (par_blocks, par_stats) =
-            encode_groups_parallel(&t, &meta, PatternSelector::MseOptimal);
+            encode_groups_parallel(&t, &meta, sc, PatternSelector::MseOptimal);
 
         let mut seq_blocks = Vec::new();
         let mut seq_stats = CodecStats::default();
         for g in t.groups(128) {
-            let (b, info) = encode_group(g, &meta, PatternSelector::MseOptimal);
+            let (b, info) = encode_group(g, &meta, sc, PatternSelector::MseOptimal);
             seq_stats.record(&info, 128);
-            let (out, _) = decode_group(&b, &meta).unwrap();
+            let (out, _) = decode_group(&b, &meta, sc).unwrap();
             seq_stats.record_error(g, &out);
             seq_blocks.push(b);
         }
@@ -698,11 +700,12 @@ mod tests {
             .seeded(302)
             .generate();
         let meta = meta_for(&t);
-        let (blocks, _) = encode_groups_parallel(&t, &meta, PatternSelector::MinMax);
-        let par = decode_groups_parallel(&blocks, &meta).unwrap();
+        let sc = meta.calibration_scale();
+        let (blocks, _) = encode_groups_parallel(&t, &meta, sc, PatternSelector::MinMax);
+        let par = decode_groups_parallel(&blocks, &meta, sc).unwrap();
         let mut seq = Vec::new();
         for b in &blocks {
-            seq.extend(decode_group(b, &meta).unwrap().0);
+            seq.extend(decode_group(b, &meta, sc).unwrap().0);
         }
         assert_eq!(par, seq);
     }
@@ -713,8 +716,10 @@ mod tests {
             .seeded(303)
             .generate();
         let meta = meta_for(&t);
-        let (a, _) = encode_groups_parallel(&t, &meta, PatternSelector::MseOptimal);
-        let (b, infos) = encode_groups_parallel_unchecked(&t, &meta, PatternSelector::MseOptimal);
+        let sc = meta.calibration_scale();
+        let (a, _) = encode_groups_parallel(&t, &meta, sc, PatternSelector::MseOptimal);
+        let (b, infos) =
+            encode_groups_parallel_unchecked(&t, &meta, sc, PatternSelector::MseOptimal);
         assert_eq!(a, b);
         assert_eq!(infos.len(), b.len());
     }
@@ -726,12 +731,14 @@ mod tests {
             .seeded(304)
             .generate();
         let meta = meta_for(&t);
+        let sc = meta.calibration_scale();
         let pool = PoolBuilder::new().threads(1).build();
         with_pool(&pool, || {
-            let (blocks, stats) = encode_groups_parallel(&t, &meta, PatternSelector::MseOptimal);
+            let (blocks, stats) =
+                encode_groups_parallel(&t, &meta, sc, PatternSelector::MseOptimal);
             assert_eq!(blocks.len(), 1);
             assert_eq!(stats.groups, 1);
-            let vals = decode_groups_parallel(&blocks, &meta).unwrap();
+            let vals = decode_groups_parallel(&blocks, &meta, sc).unwrap();
             assert_eq!(vals.len(), 128);
         });
     }
@@ -742,24 +749,25 @@ mod tests {
             .seeded(305)
             .generate();
         let meta = meta_for(&t);
-        let (good, _) = encode_groups_parallel(&t, &meta, PatternSelector::MseOptimal);
+        let sc = meta.calibration_scale();
+        let (good, _) = encode_groups_parallel(&t, &meta, sc, PatternSelector::MseOptimal);
         // A block whose pattern id cannot decode: all-ones header run.
         let bad = Block64::from_bytes([0xFF; 64]);
         let mut poisoned = good.clone();
         poisoned[3] = bad;
-        let per_block_err = decode_group(&bad, &meta).err();
+        let per_block_err = decode_group(&bad, &meta, sc).err();
 
         let results = decode_tensors_batch_with(
             &[&good, &poisoned, &good],
-            meta.group_size,
+            meta.group_size(),
             |_ti, b, out| {
-                let (v, _) = decode_group(b, &meta)?;
+                let (v, _) = decode_group(b, &meta, sc)?;
                 out.extend_from_slice(&v);
                 Ok(())
             },
         );
         assert_eq!(results.len(), 3);
-        let seq = decode_groups_parallel(&good, &meta).unwrap();
+        let seq = decode_groups_parallel(&good, &meta, sc).unwrap();
         assert_eq!(results[0].as_ref().unwrap(), &seq);
         assert_eq!(results[2].as_ref().unwrap(), &seq);
         match (&results[1], per_block_err) {
@@ -778,21 +786,22 @@ mod tests {
             .seeded(306)
             .generate();
         let meta = meta_for(&t);
-        let (good, _) = encode_groups_parallel(&t, &meta, PatternSelector::MseOptimal);
+        let sc = meta.calibration_scale();
+        let (good, _) = encode_groups_parallel(&t, &meta, sc, PatternSelector::MseOptimal);
         let bad = Block64::from_bytes([0xFF; 64]);
         let mut poisoned = good.clone();
         poisoned[3] = bad;
-        let bad_kind = decode_group(&bad, &meta).unwrap_err().kind;
-        let seq = decode_groups_parallel(&good, &meta).unwrap();
+        let bad_kind = decode_group(&bad, &meta, sc).unwrap_err().kind;
+        let seq = decode_groups_parallel(&good, &meta, sc).unwrap();
 
         let decode = |_ti: usize, b: &Block64, out: &mut Vec<f32>| {
-            let (v, _) = decode_group(b, &meta)?;
+            let (v, _) = decode_group(b, &meta, sc)?;
             out.extend_from_slice(&v);
             Ok(())
         };
         let report = decode_tensors_batch_report_with(
             &[&good, &poisoned, &good],
-            meta.group_size,
+            meta.group_size(),
             RecoveryPolicy::SalvageBlocks,
             decode,
         );
@@ -802,7 +811,7 @@ mod tests {
             BatchOutcome::Salvaged { values, bad_blocks } => {
                 // Only block 3's group is zero-filled; the rest is the
                 // healthy reference bit for bit.
-                let gs = meta.group_size;
+                let gs = meta.group_size();
                 let mut want = seq.clone();
                 want[3 * gs..4 * gs].fill(0.0);
                 assert_eq!(values, &want);
@@ -819,7 +828,7 @@ mod tests {
         // FailTensor through the report API matches the Result API.
         let failed = decode_tensors_batch_report_with(
             &[&good, &poisoned],
-            meta.group_size,
+            meta.group_size(),
             RecoveryPolicy::FailTensor,
             decode,
         );
@@ -842,7 +851,8 @@ mod tests {
             .seeded(307)
             .generate();
         let meta = meta_for(&t);
-        let (blocks, _) = encode_groups_parallel(&t, &meta, PatternSelector::MseOptimal);
+        let sc = meta.calibration_scale();
+        let (blocks, _) = encode_groups_parallel(&t, &meta, sc, PatternSelector::MseOptimal);
         let tiny: Vec<&[Block64]> = blocks.chunks(2).collect(); // 16 two-block tensors
         let mut poisoned = blocks.clone();
         poisoned[5] = Block64::from_bytes([0xFF; 64]); // tensor 2, block 1
@@ -851,22 +861,22 @@ mod tests {
         for threads in [1usize, 4] {
             let pool = PoolBuilder::new().threads(threads).build();
             with_pool(&pool, || {
-                let results = decode_tensors_batch_with(&tiny, meta.group_size, |_ti, b, out| {
-                    let (v, _) = decode_group(b, &meta)?;
+                let results = decode_tensors_batch_with(&tiny, meta.group_size(), |_ti, b, out| {
+                    let (v, _) = decode_group(b, &meta, sc)?;
                     out.extend_from_slice(&v);
                     Ok(())
                 });
                 for (r, pair) in results.iter().zip(blocks.chunks(2)) {
                     let mut want = Vec::new();
                     for b in pair {
-                        want.extend(decode_group(b, &meta).unwrap().0);
+                        want.extend(decode_group(b, &meta, sc).unwrap().0);
                     }
                     assert_eq!(r.as_ref().unwrap(), &want, "threads {threads}");
                 }
 
                 let results =
-                    decode_tensors_batch_with(&tiny_poisoned, meta.group_size, |_ti, b, out| {
-                        let (v, _) = decode_group(b, &meta)?;
+                    decode_tensors_batch_with(&tiny_poisoned, meta.group_size(), |_ti, b, out| {
+                        let (v, _) = decode_group(b, &meta, sc)?;
                         out.extend_from_slice(&v);
                         Ok(())
                     });
@@ -892,31 +902,32 @@ mod tests {
             let threads = [1usize, 2, 4, 8][threads_sel];
             let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512).seeded(seed).generate();
             let meta = meta_for(&t);
+            let sc = meta.calibration_scale();
 
             // Sequential references, computed on the default pool.
             let mut seq_blocks = Vec::new();
             for g in t.groups(128) {
-                seq_blocks.push(encode_group(g, &meta, PatternSelector::MseOptimal).0);
+                seq_blocks.push(encode_group(g, &meta, sc, PatternSelector::MseOptimal).0);
             }
             let mut seq_vals = Vec::new();
             for b in &seq_blocks {
-                seq_vals.extend(decode_group(b, &meta).unwrap().0);
+                seq_vals.extend(decode_group(b, &meta, sc).unwrap().0);
             }
 
             let pool = PoolBuilder::new().threads(threads).chunk(chunk).build();
             with_pool(&pool, || {
-                let (blocks, _) = encode_groups_parallel(&t, &meta, PatternSelector::MseOptimal);
+                let (blocks, _) = encode_groups_parallel(&t, &meta, sc, PatternSelector::MseOptimal);
                 assert_eq!(blocks, seq_blocks, "encode diverged (threads {threads} chunk {chunk})");
-                let vals = decode_groups_parallel(&blocks, &meta).unwrap();
+                let vals = decode_groups_parallel(&blocks, &meta, sc).unwrap();
                 assert_eq!(vals, seq_vals, "decode diverged (threads {threads} chunk {chunk})");
 
                 // Batch submission == per-tensor loop, bit for bit.
                 let empty: &[Block64] = &[];
                 let batch = decode_tensors_batch_with(
                     &[&blocks[..], &blocks[..3], empty],
-                    meta.group_size,
+                    meta.group_size(),
                     |_ti, b, out| {
-                        let (v, _) = decode_group(b, &meta)?;
+                        let (v, _) = decode_group(b, &meta, sc)?;
                         out.extend_from_slice(&v);
                         Ok(())
                     },
@@ -928,8 +939,7 @@ mod tests {
         }
 
         /// Calibration through an injected pool stays bit-identical to
-        /// the pinned sequential reference — the pool analogue of the
-        /// rayon-era differential tests in `metadata.rs`.
+        /// the pinned sequential reference, across pool shapes.
         #[test]
         fn calibrate_bit_identical_across_pool_shapes(
             seed in 0u64..100,
@@ -951,10 +961,10 @@ mod tests {
             let got = with_pool(&pool, || {
                 TensorMetadata::calibrate(&[&t], &cfg, PatternSelector::MseOptimal)
             });
-            prop_assert_eq!(&got.patterns, &want.patterns, "shared patterns");
-            prop_assert_eq!(&got.books, &want.books, "codebooks");
-            prop_assert_eq!(got.pattern_code.lengths(), want.pattern_code.lengths());
-            prop_assert_eq!(got.tensor_scale, want.tensor_scale);
+            prop_assert_eq!(got.patterns(), want.patterns(), "shared patterns");
+            prop_assert_eq!(got.books(), want.books(), "codebooks");
+            prop_assert_eq!(got.pattern_code().lengths(), want.pattern_code().lengths());
+            prop_assert_eq!(got.calibration_scale(), want.calibration_scale());
         }
     }
 }

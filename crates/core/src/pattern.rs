@@ -68,8 +68,8 @@ impl KmeansPattern {
     }
 
     /// Wraps a finished 15-cluster scalar fit — the constructor the
-    /// batched (rayon-parallel) calibration path uses after
-    /// [`ecco_kmeans::fit_scalar_batch`].
+    /// batched (pool-parallel) calibration path uses after its
+    /// [`ecco_kmeans::ScalarJob`] fits.
     ///
     /// # Panics
     ///

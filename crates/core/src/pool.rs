@@ -10,9 +10,9 @@
 //! — submits to the *current* pool:
 //! the innermost [`with_pool`] binding on the calling thread, or the
 //! lazily-started global pool sized by `ECCO_THREADS` (then
-//! `RAYON_NUM_THREADS`, then the core count). The vendored rayon facade
-//! delegates to the same pool, so `par_iter` call sites and the
-//! pool-native paths share one set of long-lived workers.
+//! `RAYON_NUM_THREADS`, then the core count) — calibration's per-group
+//! k-means fits included, so every parallel path shares one set of
+//! long-lived workers.
 //!
 //! # Determinism
 //!

@@ -1,8 +1,8 @@
 //! The offline weight-compression path (4×, MSE-optimal pattern choice).
 
 use ecco_bits::Block64;
+use ecco_numerics::Po2Scale;
 use ecco_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 use crate::block::{
     decode_group, decode_group_into, encode_group_scratch, encode_group_weighted_scratch,
@@ -19,7 +19,7 @@ pub struct CompressedTensor {
     rows: usize,
     cols: usize,
     group_size: usize,
-    tensor_scale: ecco_numerics::Po2Scale,
+    tensor_scale: Po2Scale,
     blocks: Vec<Block64>,
 }
 
@@ -29,7 +29,7 @@ impl CompressedTensor {
         rows: usize,
         cols: usize,
         group_size: usize,
-        tensor_scale: ecco_numerics::Po2Scale,
+        tensor_scale: Po2Scale,
         blocks: Vec<Block64>,
     ) -> CompressedTensor {
         CompressedTensor {
@@ -61,7 +61,7 @@ impl CompressedTensor {
 
     /// The per-tensor FP16→FP8 power-of-two scale this tensor was
     /// compressed under.
-    pub fn tensor_scale(&self) -> ecco_numerics::Po2Scale {
+    pub fn tensor_scale(&self) -> Po2Scale {
         self.tensor_scale
     }
 
@@ -112,7 +112,7 @@ impl CompressedTensor {
 /// assert_eq!(ct.ratio_vs_fp16(), 4.0);
 /// assert!(stats.nmse() < 0.01);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WeightCodec {
     meta: TensorMetadata,
     /// Per-column mean |activation| used for activation-aware pattern
@@ -127,7 +127,7 @@ impl WeightCodec {
     /// calibration tensors of the same distribution.
     ///
     /// The per-group k-means fits and statistics collection run across
-    /// the rayon pool; the result is bit-identical to the sequential
+    /// the worker pool; the result is bit-identical to the sequential
     /// reference regardless of thread count (see
     /// [`TensorMetadata::calibrate`]).
     ///
@@ -184,9 +184,10 @@ impl WeightCodec {
     /// Panics if the tensor length is not a multiple of the group size.
     pub fn compress(&self, tensor: &Tensor) -> (CompressedTensor, CodecStats) {
         let scale = TensorMetadata::scale_for(tensor);
-        let meta = self.meta.with_scale(scale);
+        let meta = &self.meta;
+        let gs = meta.group_size();
         let mut stats = CodecStats::default();
-        let mut blocks = Vec::with_capacity(tensor.len() / meta.group_size);
+        let mut blocks = Vec::with_capacity(tensor.len() / gs);
         // One selection scratch for the whole tensor, and (for the
         // activation-aware path) the squared channel magnitudes computed
         // once up front — the per-group loop below never allocates for
@@ -196,21 +197,24 @@ impl WeightCodec {
             assert_eq!(mags.len(), tensor.cols(), "magnitude/column mismatch");
             mags.iter().map(|&m| m * m).collect()
         });
-        for (gi, g) in tensor.groups(meta.group_size).enumerate() {
+        for (gi, g) in tensor.groups(gs).enumerate() {
             let (block, info) = match &w2_all {
                 Some(w2) => {
-                    let col0 = (gi * meta.group_size) % tensor.cols();
+                    let col0 = (gi * gs) % tensor.cols();
                     encode_group_weighted_scratch(
                         g,
-                        &meta,
-                        &w2[col0..col0 + meta.group_size],
+                        meta,
+                        scale,
+                        &w2[col0..col0 + gs],
                         &mut scratch,
                     )
                 }
-                None => encode_group_scratch(g, &meta, PatternSelector::MseOptimal, &mut scratch),
+                None => {
+                    encode_group_scratch(g, meta, scale, PatternSelector::MseOptimal, &mut scratch)
+                }
             };
-            stats.record(&info, meta.group_size);
-            let (out, _) = decode_group(&block, &meta).expect("own blocks decode");
+            stats.record(&info, gs);
+            let (out, _) = decode_group(&block, meta, scale).expect("own blocks decode");
             stats.record_error(g, &out);
             blocks.push(block);
         }
@@ -218,7 +222,7 @@ impl WeightCodec {
             CompressedTensor {
                 rows: tensor.rows(),
                 cols: tensor.cols(),
-                group_size: meta.group_size,
+                group_size: gs,
                 tensor_scale: scale,
                 blocks,
             },
@@ -241,14 +245,17 @@ impl WeightCodec {
             "activation-aware compression is calibration-bound; use compress()"
         );
         let scale = TensorMetadata::scale_for(tensor);
-        let meta = self.meta.with_scale(scale);
-        let (blocks, stats) =
-            crate::parallel::encode_groups_parallel(tensor, &meta, PatternSelector::MseOptimal);
+        let (blocks, stats) = crate::parallel::encode_groups_parallel(
+            tensor,
+            &self.meta,
+            scale,
+            PatternSelector::MseOptimal,
+        );
         (
             CompressedTensor {
                 rows: tensor.rows(),
                 cols: tensor.cols(),
-                group_size: meta.group_size,
+                group_size: self.meta.group_size(),
                 tensor_scale: scale,
                 blocks,
             },
@@ -275,22 +282,22 @@ impl WeightCodec {
             self.act_mags.is_none(),
             "activation-aware compression is calibration-bound; use compress()"
         );
-        let gs = self.meta.group_size;
+        let gs = self.meta.group_size();
         for t in tensors {
             assert_eq!(t.len() % gs, 0, "tensor not a multiple of group size");
         }
-        // Per-tensor scale (and hence metadata view) is fixed before
-        // submission; the encode closure only reads.
-        let metas: Vec<TensorMetadata> = tensors
+        // Per-tensor scales are fixed before submission.
+        let scales: Vec<Po2Scale> = tensors
             .iter()
-            .map(|t| self.meta.with_scale(TensorMetadata::scale_for(t)))
+            .map(|t| TensorMetadata::scale_for(t))
             .collect();
         let counts: Vec<usize> = tensors.iter().map(|t| t.len() / gs).collect();
 
         let encoded = crate::parallel::encode_tensors_batch_with(&counts, |ti, lo, hi| {
             crate::parallel::encode_run(
                 tensors[ti].data(),
-                &metas[ti],
+                &self.meta,
+                scales[ti],
                 PatternSelector::MseOptimal,
                 lo,
                 hi,
@@ -300,14 +307,14 @@ impl WeightCodec {
         encoded
             .into_iter()
             .zip(tensors)
-            .zip(metas)
-            .map(|(((blocks, stats), t), meta)| {
+            .zip(scales)
+            .map(|(((blocks, stats), t), tensor_scale)| {
                 (
                     CompressedTensor {
                         rows: t.rows(),
                         cols: t.cols(),
                         group_size: gs,
-                        tensor_scale: meta.tensor_scale,
+                        tensor_scale,
                         blocks,
                     },
                     stats,
@@ -366,10 +373,10 @@ impl WeightCodec {
     ///
     /// Panics on mismatched group size or corrupted blocks.
     pub fn decompress_parallel(&self, ct: &CompressedTensor) -> Tensor {
-        assert_eq!(ct.group_size, self.meta.group_size, "group size mismatch");
-        let meta = self.meta.with_scale(ct.tensor_scale);
+        assert_eq!(ct.group_size, self.meta.group_size(), "group size mismatch");
         let data =
-            crate::parallel::decode_groups_parallel(ct.blocks(), &meta).expect("valid blocks");
+            crate::parallel::decode_groups_parallel(ct.blocks(), &self.meta, ct.tensor_scale)
+                .expect("valid blocks");
         Tensor::from_vec(ct.rows, ct.cols, data)
     }
 
@@ -380,11 +387,10 @@ impl WeightCodec {
     /// Panics if the compressed tensor was produced by a codec with a
     /// different group size or corrupted blocks.
     pub fn decompress(&self, ct: &CompressedTensor) -> Tensor {
-        assert_eq!(ct.group_size, self.meta.group_size, "group size mismatch");
-        let meta = self.meta.with_scale(ct.tensor_scale);
+        assert_eq!(ct.group_size, self.meta.group_size(), "group size mismatch");
         let mut data = Vec::with_capacity(ct.rows * ct.cols);
         for b in &ct.blocks {
-            decode_group_into(b, &meta, &mut data).expect("valid block");
+            decode_group_into(b, &self.meta, ct.tensor_scale, &mut data).expect("valid block");
         }
         Tensor::from_vec(ct.rows, ct.cols, data)
     }
@@ -481,18 +487,17 @@ mod tests {
             .map(|c| 0.1 + (c % 11) as f32 * 0.07)
             .collect();
         let codec = WeightCodec::calibrate_aware(&[&t], &mags, &cfg());
-        let meta = codec.metadata().with_scale(TensorMetadata::scale_for(&t));
+        let meta = codec.metadata();
+        let scale = TensorMetadata::scale_for(&t);
+        let gs = meta.group_size();
         let mut scratch = GroupScratch::new();
-        for (gi, g) in t.groups(meta.group_size).enumerate() {
-            let col0 = (gi * meta.group_size) % t.cols();
-            let w2: Vec<f32> = mags[col0..col0 + meta.group_size]
-                .iter()
-                .map(|&m| m * m)
-                .collect();
-            let ng = crate::group::normalize_group(g, meta.tensor_scale);
+        for (gi, g) in t.groups(gs).enumerate() {
+            let col0 = (gi * gs) % t.cols();
+            let w2: Vec<f32> = mags[col0..col0 + gs].iter().map(|&m| m * m).collect();
+            let ng = crate::group::normalize_group(g, scale);
             let kp = meta.select_pattern_weighted(&ng, &w2);
-            let (two_step, info_a) = crate::block::encode_group_with_pattern(g, &meta, kp);
-            let (fused, info_b) = encode_group_weighted_scratch(g, &meta, &w2, &mut scratch);
+            let (two_step, info_a) = crate::block::encode_group_with_pattern(g, meta, scale, kp);
+            let (fused, info_b) = encode_group_weighted_scratch(g, meta, scale, &w2, &mut scratch);
             assert_eq!(two_step.as_bytes(), fused.as_bytes());
             assert_eq!(info_a, info_b);
         }
@@ -592,7 +597,7 @@ mod tests {
         let report = codec.decompress_batch_report(&[&good, &bad], RecoveryPolicy::SalvageBlocks);
         match &report[1] {
             BatchOutcome::Salvaged { values, bad_blocks } => {
-                let gs = codec.metadata().group_size;
+                let gs = codec.metadata().group_size();
                 let mut want = reference.data().to_vec();
                 want[2 * gs..3 * gs].fill(0.0);
                 assert_eq!(values, &want);

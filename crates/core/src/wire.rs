@@ -10,8 +10,9 @@
 //!   declared field or block payload,
 //! * [`DecodeErrorKind::CorruptMetadata`] — bad magic/version, out-of-range
 //!   structural fields, or unsorted/non-finite pattern centroids,
-//! * [`DecodeErrorKind::CorruptCodebook`] — a revived codebook whose
-//!   serialized fields do not heal into a valid canonical code,
+//! * [`DecodeErrorKind::CorruptCodebook`] — a codebook whose serialized
+//!   lengths, codes and `max_len` are not one canonical code, or a data
+//!   book outside the format's 2..=8-bit, 16-symbol envelope,
 //! * [`DecodeErrorKind::LengthMismatch`] — a length field that disagrees
 //!   with the payload actually present (trailing bytes, lied counts).
 //!
@@ -20,7 +21,7 @@
 //! Metadata snapshot (`ECCM`, version 1):
 //!
 //! ```text
-//! "ECCM" | u16 version | i8 scale exp | u32 id_hf_bits | u32 group_size
+//! "ECCM" | u16 version | i8 calibration scale exp | u32 id_hf_bits | u32 group_size
 //! | u32 S | S x (15 x f32 centroids)
 //! | u32 H | S x H x codebook
 //! | codebook (pattern id code)
@@ -36,9 +37,14 @@
 //! Codebooks serialize as `u32 N | N x u8 lengths | N x u16 codes |
 //! u8 max_len` and revive through
 //! [`Codebook::from_serialized_parts`][ecco_entropy::huffman::Codebook::from_serialized_parts],
-//! so the decode tables heal lazily exactly as in-process revival does —
-//! the decoder here only checks coherence eagerly to surface the typed
-//! error at ingest time instead of at first block decode.
+//! which accepts only the canonical code of the lengths; a data book's
+//! lengths are checked against the 2..=8-bit, 16-symbol envelope before
+//! its decode table is built. The revived parts then go through [`TensorMetadata::from_parts`], the validating
+//! constructor calibration uses too, so a snapshot is checked once, here,
+//! and never again per block.
+//!
+//! The scale byte of an `ECCM` snapshot records the calibration set's
+//! scale; each `ECCT` frame carries the scale its blocks decode under.
 //!
 //! # Examples
 //!
@@ -49,11 +55,11 @@
 //! let t = SynthSpec::for_kind(TensorKind::Weight, 8, 256).generate();
 //! let codec = WeightCodec::calibrate(&[&t], &EccoConfig::default());
 //! let (ct, _) = codec.compress(&t);
-//! let meta = codec.metadata().with_scale(ct.tensor_scale());
+//! let meta = codec.metadata();
 //!
-//! let bytes = wire::encode_metadata(&meta);
+//! let bytes = wire::encode_metadata(meta);
 //! let revived = wire::decode_metadata(&bytes).unwrap();
-//! assert_eq!(revived.patterns, meta.patterns);
+//! assert_eq!(revived.patterns(), meta.patterns());
 //!
 //! let frame = wire::encode_tensor(&ct);
 //! let back = wire::decode_tensor(&frame).unwrap();
@@ -64,7 +70,8 @@ use ecco_bits::{Block64, BLOCK_BYTES};
 use ecco_entropy::huffman::Codebook;
 use ecco_numerics::Po2Scale;
 
-use crate::block::{validate_data_book, DecodeError, DecodeErrorKind};
+use crate::block::{DecodeError, DecodeErrorKind};
+use crate::metadata::{is_data_book, MAX_GROUP_SIZE};
 use crate::pattern::{KmeansPattern, NUM_CENTROIDS};
 use crate::weight::CompressedTensor;
 use crate::TensorMetadata;
@@ -87,8 +94,6 @@ pub const TENSOR_FRAME_HEADER_BYTES: usize = 23;
 const MAX_PATTERNS: u32 = 4096;
 const MAX_BOOKS_PER_PATTERN: u32 = 256;
 const MAX_BOOK_SYMBOLS: u32 = 4096;
-const MAX_ID_HF_BITS: u32 = 16;
-const MAX_GROUP_SIZE: u32 = 1 << 16;
 
 fn corrupt_meta() -> DecodeError {
     DecodeError::new(DecodeErrorKind::CorruptMetadata)
@@ -99,26 +104,25 @@ pub fn encode_metadata(meta: &TensorMetadata) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&METADATA_MAGIC);
     out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    out.push(meta.tensor_scale.exp() as u8);
-    out.extend_from_slice(&meta.id_hf_bits.to_le_bytes());
-    out.extend_from_slice(&(meta.group_size as u32).to_le_bytes());
-    out.extend_from_slice(&(meta.patterns.len() as u32).to_le_bytes());
-    for p in &meta.patterns {
+    out.push(meta.calibration_scale().exp() as u8);
+    out.extend_from_slice(&meta.id_hf_bits().to_le_bytes());
+    out.extend_from_slice(&(meta.group_size() as u32).to_le_bytes());
+    out.extend_from_slice(&(meta.num_patterns() as u32).to_le_bytes());
+    for p in meta.patterns() {
         for c in p.centroids() {
             out.extend_from_slice(&c.to_le_bytes());
         }
     }
     out.extend_from_slice(&(meta.books_per_pattern() as u32).to_le_bytes());
-    for row in &meta.books {
-        for book in row {
-            encode_book(&mut out, book);
-        }
+    for book in meta.books().iter().flatten() {
+        encode_book(&mut out, book);
     }
-    encode_book(&mut out, &meta.pattern_code);
+    encode_book(&mut out, meta.pattern_code());
     out
 }
 
-/// Revives shared metadata from an `ECCM` snapshot.
+/// Revives shared metadata from an `ECCM` snapshot, building its
+/// tables through [`TensorMetadata::from_parts`].
 ///
 /// # Errors
 ///
@@ -133,15 +137,12 @@ pub fn decode_metadata(bytes: &[u8]) -> Result<TensorMetadata, DecodeError> {
     if r.u16()? != WIRE_VERSION {
         return Err(corrupt_meta());
     }
-    let tensor_scale = Po2Scale::new(r.u8()? as i8);
+    let calibration_scale = Po2Scale::new(r.u8()? as i8);
     let id_hf_bits = r.u32()?;
     let group_size = r.u32()?;
-    if id_hf_bits > MAX_ID_HF_BITS || group_size == 0 || group_size > MAX_GROUP_SIZE {
-        return Err(corrupt_meta());
-    }
 
     let num_patterns = r.u32()?;
-    if num_patterns == 0 || num_patterns > MAX_PATTERNS {
+    if num_patterns > MAX_PATTERNS {
         return Err(corrupt_meta());
     }
     let mut patterns = Vec::with_capacity(num_patterns as usize);
@@ -156,39 +157,28 @@ pub fn decode_metadata(bytes: &[u8]) -> Result<TensorMetadata, DecodeError> {
     }
 
     let books_per_pattern = r.u32()?;
-    if books_per_pattern == 0 || books_per_pattern > MAX_BOOKS_PER_PATTERN {
+    if books_per_pattern > MAX_BOOKS_PER_PATTERN {
         return Err(corrupt_meta());
     }
     let mut books = Vec::with_capacity(num_patterns as usize);
     for _ in 0..num_patterns {
-        let mut row = Vec::with_capacity(books_per_pattern as usize);
-        for _ in 0..books_per_pattern {
-            let book = decode_book(&mut r)?;
-            // Same predicate both decoders run per block; checking at
-            // ingest surfaces the typed error before any data flows.
-            validate_data_book(&book)?;
-            row.push(book);
-        }
+        let row = (0..books_per_pattern)
+            .map(|_| decode_book(&mut r, true))
+            .collect::<Result<Vec<_>, _>>()?;
         books.push(row);
     }
 
-    let pattern_code = decode_book(&mut r)?;
-    // The pattern code is structural metadata (parse_block_header treats
-    // an incoherent one as CorruptMetadata), and it must be able to name
-    // every pattern.
-    if !pattern_code.revival_coherent() || pattern_code.num_symbols() < num_patterns as usize {
-        return Err(corrupt_meta());
-    }
+    let pattern_code = decode_book(&mut r, false)?;
     r.finish()?;
 
-    Ok(TensorMetadata::from_wire_parts(
-        tensor_scale,
+    TensorMetadata::from_parts(
+        calibration_scale,
         patterns,
         books,
         pattern_code,
         id_hf_bits,
         group_size as usize,
-    ))
+    )
 }
 
 /// Serializes a compressed tensor into an `ECCT` frame.
@@ -228,7 +218,7 @@ pub fn decode_tensor(bytes: &[u8]) -> Result<CompressedTensor, DecodeError> {
     let cols = r.u32()? as usize;
     let group_size = r.u32()? as usize;
     let tensor_scale = Po2Scale::new(r.u8()? as i8);
-    if group_size == 0 || group_size > MAX_GROUP_SIZE as usize {
+    if group_size == 0 || group_size > MAX_GROUP_SIZE {
         return Err(corrupt_meta());
     }
     let declared = (rows as u64) * (cols as u64);
@@ -270,26 +260,27 @@ fn encode_book(out: &mut Vec<u8>, book: &Codebook) {
     out.push(book.max_len());
 }
 
-/// Decodes one codebook, reviving it through `from_serialized_parts` (no
-/// up-front validation; tables heal lazily) and then eagerly checking
-/// coherence so garbage lengths surface here as `CorruptCodebook` rather
-/// than as a silent all-invalid decode later.
-fn decode_book(r: &mut Reader<'_>) -> Result<Codebook, DecodeError> {
+/// Decodes one codebook through `from_serialized_parts`, which accepts
+/// only the canonical code of the serialized lengths.
+///
+/// A data book (`data_book`) must also fit the format's data-code
+/// envelope, checked on the raw lengths before the decode table is
+/// built: a 15-bit book costs ~53 wire bytes but a 128 KiB table, so
+/// checking only after all `S × H` books were built would let a small
+/// snapshot allocate thousands of times its size.
+fn decode_book(r: &mut Reader<'_>, data_book: bool) -> Result<Codebook, DecodeError> {
+    let corrupt = || DecodeError::new(DecodeErrorKind::CorruptCodebook);
     let n = r.u32()?;
     if n == 0 || n > MAX_BOOK_SYMBOLS {
-        return Err(DecodeError::new(DecodeErrorKind::CorruptCodebook));
+        return Err(corrupt());
     }
-    let lengths = r.take(n as usize)?.to_vec();
-    let mut codes = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        codes.push(r.u16()?);
+    let lengths = r.take(n as usize)?;
+    if data_book && !is_data_book(lengths) {
+        return Err(corrupt());
     }
+    let codes = (0..n).map(|_| r.u16()).collect::<Result<Vec<_>, _>>()?;
     let max_len = r.u8()?;
-    let book = Codebook::from_serialized_parts(lengths, codes, max_len);
-    if !book.revival_coherent() {
-        return Err(DecodeError::new(DecodeErrorKind::CorruptCodebook));
-    }
-    Ok(book)
+    Codebook::from_serialized_parts(lengths, &codes, max_len).map_err(|_| corrupt())
 }
 
 /// Bounds-checked little-endian cursor; every read past the end is a
@@ -361,7 +352,7 @@ mod tests {
         };
         let codec = WeightCodec::calibrate(&[&t], &cfg);
         let (ct, _) = codec.compress(&t);
-        let meta = codec.metadata().with_scale(ct.tensor_scale());
+        let meta = codec.metadata().clone();
         (codec, ct, meta)
     }
 
@@ -369,29 +360,86 @@ mod tests {
     fn metadata_roundtrip_decodes_identically() {
         let (codec, ct, meta) = fixture();
         let revived = decode_metadata(&encode_metadata(&meta)).expect("roundtrip");
-        assert_eq!(revived.tensor_scale, meta.tensor_scale);
-        assert_eq!(revived.patterns, meta.patterns);
-        assert_eq!(revived.id_hf_bits, meta.id_hf_bits);
-        assert_eq!(revived.group_size, meta.group_size);
+        assert_eq!(revived.calibration_scale(), meta.calibration_scale());
+        assert_eq!(revived.patterns(), meta.patterns());
+        assert_eq!(revived.id_hf_bits(), meta.id_hf_bits());
+        assert_eq!(revived.group_size(), meta.group_size());
         for (a, b) in revived
-            .books
+            .books()
             .iter()
             .flatten()
-            .zip(meta.books.iter().flatten())
+            .zip(meta.books().iter().flatten())
         {
             assert_eq!(a.lengths(), b.lengths());
             assert_eq!(a.codes(), b.codes());
             assert_eq!(a.max_len(), b.max_len());
         }
-        // The revived metadata decodes blocks bit-identically with no
-        // rebuild call — the lazy caches self-heal.
         let want = codec.decompress(&ct);
         let got: Vec<f32> = ct
             .blocks()
             .iter()
-            .flat_map(|b| crate::block::decode_group(b, &revived).unwrap().0)
+            .flat_map(|b| {
+                crate::block::decode_group(b, &revived, ct.tensor_scale())
+                    .unwrap()
+                    .0
+            })
             .collect();
         assert_eq!(got, want.data());
+    }
+
+    /// Byte offset of book `index` (row-major over `S × H`, the pattern
+    /// code last) in an `ECCM` snapshot of `meta`.
+    fn book_offset(meta: &TensorMetadata, index: usize) -> usize {
+        let mut off = 4 + 2 + 1 + 4 + 4 + 4 + meta.num_patterns() * NUM_CENTROIDS * 4 + 4;
+        for book in meta.books().iter().flatten().take(index) {
+            off += 4 + 3 * book.num_symbols() + 1;
+        }
+        off
+    }
+
+    #[test]
+    fn non_canonical_codes_are_corrupt_codebooks() {
+        // Swap the codes of two equal-length symbols in every data book.
+        // The lengths and max_len still cohere, but the encoder would
+        // write the swapped codes while the decoder reads canonical ones:
+        // a revived codec round-trips garbage without any error.
+        let (_, _, meta) = fixture();
+        let mut bytes = encode_metadata(&meta);
+        for (i, book) in meta.books().iter().flatten().enumerate() {
+            let n = book.num_symbols();
+            let (a, b) = (0..n)
+                .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+                .find(|&(a, b)| book.lengths()[a] == book.lengths()[b])
+                .expect("16 symbols over 2..=8 bits share a length");
+            let codes = book_offset(&meta, i) + 4 + n;
+            let (pa, pb) = (codes + 2 * a, codes + 2 * b);
+            let (ca, cb) = (bytes[pa..pa + 2].to_vec(), bytes[pb..pb + 2].to_vec());
+            bytes[pa..pa + 2].copy_from_slice(&cb);
+            bytes[pb..pb + 2].copy_from_slice(&ca);
+        }
+        assert_eq!(
+            decode_metadata(&bytes).unwrap_err().kind,
+            DecodeErrorKind::CorruptCodebook
+        );
+    }
+
+    #[test]
+    fn long_data_book_is_rejected_before_the_next_book_is_read() {
+        // A Kraft-valid 16-symbol book with 15-bit codes: a few dozen wire
+        // bytes, but a 2^15-entry decode table. It must be refused as soon
+        // as it is read, so a snapshot cut right after it reports the bad
+        // book, not the truncation of the books that follow.
+        let (_, _, meta) = fixture();
+        let mut lengths: Vec<u8> = (1..=15).collect();
+        lengths.push(15);
+        let book = Codebook::from_lengths(&lengths).expect("Kraft-complete");
+        let start = book_offset(&meta, 0);
+        let mut bytes = encode_metadata(&meta)[..start].to_vec();
+        encode_book(&mut bytes, &book);
+        assert_eq!(
+            decode_metadata(&bytes).unwrap_err().kind,
+            DecodeErrorKind::CorruptCodebook
+        );
     }
 
     #[test]
@@ -496,7 +544,7 @@ mod tests {
         );
 
         // Garbage codebook lengths: zero out book 0's length vector.
-        let books0 = pat0 + meta.patterns.len() * NUM_CENTROIDS * 4 + 4;
+        let books0 = book_offset(&meta, 0);
         let mut bad = bytes.clone();
         let n = u32::from_le_bytes(bad[books0..books0 + 4].try_into().unwrap()) as usize;
         for b in &mut bad[books0 + 4..books0 + 4 + n] {

@@ -8,12 +8,8 @@
 //! codebook is fully described by its length vector.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
 
 use ecco_bits::{BitReader, BitWriter};
-use serde::{Deserialize, Serialize};
-
-use crate::lut::SegmentLut;
 
 /// Errors from codebook construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,6 +32,9 @@ pub enum CodebookError {
     },
     /// A supplied length vector violates the Kraft inequality.
     KraftViolation,
+    /// Serialized codes or `max_len` differ from the canonical code the
+    /// serialized lengths determine.
+    InconsistentParts,
 }
 
 impl fmt::Display for CodebookError {
@@ -50,6 +49,9 @@ impl fmt::Display for CodebookError {
                 write!(f, "invalid length bounds [{min_len}, {max_len}]")
             }
             CodebookError::KraftViolation => write!(f, "lengths violate the Kraft inequality"),
+            CodebookError::InconsistentParts => {
+                write!(f, "codes or max length disagree with the canonical code")
+            }
         }
     }
 }
@@ -109,21 +111,8 @@ fn package_merge(weights: &[u64], max_len: u8) -> Vec<u8> {
     lengths
 }
 
-/// The resolved decode table plus a memoized coherence verdict.
-///
-/// `coherent` is `false` when the serialized fields could not be healed
-/// into a valid canonical code — the table is then all-invalid and
-/// [`Codebook::revival_coherent`] lets callers surface a typed error
-/// instead of decoding nothing.
-#[derive(Clone, Debug)]
-struct DecodeTable {
-    lut: Vec<(u16, u8)>,
-    coherent: bool,
-}
-
-/// The full `(symbol, length)` decode table over `max_len`-bit windows —
-/// derived purely from the serialized fields, so it can be rebuilt after
-/// deserialization.
+/// The full `(symbol, length)` decode table over `max_len`-bit windows,
+/// with length 0 marking an invalid prefix.
 fn build_decode_lut(lengths: &[u8], codes: &[u16], max_len: u8) -> Vec<(u16, u8)> {
     let mut lut = vec![(0u16, 0u8); 1 << max_len];
     for (sym, (&len, &c)) in lengths.iter().zip(codes).enumerate() {
@@ -140,7 +129,8 @@ fn build_decode_lut(lengths: &[u8], codes: &[u16], max_len: u8) -> Vec<(u16, u8)
 ///
 /// Codes are MSB-first; decoding uses a full lookup table over `max_len`
 /// bits, the software analogue of the paper's sub-decoder combinational
-/// logic.
+/// logic. Every constructor validates its input and builds the decode
+/// table, so a `Codebook` value is always a coherent canonical code.
 ///
 /// # Examples
 ///
@@ -151,29 +141,20 @@ fn build_decode_lut(lengths: &[u8], codes: &[u16], max_len: u8) -> Vec<(u16, u8)
 /// assert!(book.code_len(0) <= book.code_len(3));
 /// assert!(book.kraft_sum() <= 1.0 + 1e-12);
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Codebook {
     lengths: Vec<u8>,
     codes: Vec<u16>,
     max_len: u8,
     /// Lookup table indexed by a `max_len`-bit window: `(symbol, length)`,
-    /// with length 0 marking an invalid prefix, plus the memoized verdict
-    /// of the heal. Built eagerly by the constructors, but held in a
-    /// `OnceLock` so a freshly deserialized book (skipped fields default
-    /// to empty) self-heals it on first decode instead of indexing an
-    /// empty table.
-    #[serde(skip)]
-    lut: OnceLock<DecodeTable>,
-    /// Lazily-built parallel-decoder chain table (256 KiB), shared across
-    /// clones of this book via the `Arc`. See [`Codebook::segment_lut`].
-    #[serde(skip)]
-    seg_lut: OnceLock<Arc<SegmentLut>>,
+    /// with length 0 marking an invalid prefix.
+    lut: Vec<(u16, u8)>,
 }
 
 impl PartialEq for Codebook {
     fn eq(&self, other: &Codebook) -> bool {
         // Canonical codes are fully determined by the length vector; the
-        // decode tables are derived caches and excluded on purpose.
+        // decode table is derived and excluded on purpose.
         self.lengths == other.lengths
     }
 }
@@ -252,102 +233,35 @@ impl Codebook {
             prev_len = len;
         }
 
-        let lut = OnceLock::new();
-        lut.set(DecodeTable {
-            lut: build_decode_lut(lengths, &codes, max_len),
-            coherent: true,
-        })
-        .expect("fresh cell");
         Ok(Codebook {
+            lut: build_decode_lut(lengths, &codes, max_len),
             lengths: lengths.to_vec(),
             codes,
             max_len,
-            lut,
-            seg_lut: OnceLock::new(),
         })
     }
 
-    /// Reconstructs a codebook from its three serialized fields exactly as
-    /// deserialization does: nothing is validated up front, the derived
-    /// decode tables start empty and self-heal (or refuse, see
-    /// [`Codebook::revival_coherent`]) on first use.
+    /// Rebuilds a codebook from the three fields wire formats carry —
+    /// the revival entry point for books read from untrusted bytes.
     ///
-    /// This is the revival entry point for wire formats and fuzz harnesses
-    /// that materialize books from untrusted bytes.
-    pub fn from_serialized_parts(lengths: Vec<u8>, codes: Vec<u16>, max_len: u8) -> Codebook {
-        Codebook {
-            lengths,
-            codes,
-            max_len,
-            lut: OnceLock::new(),
-            seg_lut: OnceLock::new(),
+    /// # Errors
+    ///
+    /// Every [`Codebook::from_lengths`] error, plus
+    /// [`CodebookError::InconsistentParts`] when `codes` or `max_len`
+    /// differ from what the lengths determine: the encoder writes the
+    /// stored codes while the decoder reads through the table built from
+    /// the lengths, so a book whose parts disagree would silently encode
+    /// one code and decode another.
+    pub fn from_serialized_parts(
+        lengths: &[u8],
+        codes: &[u16],
+        max_len: u8,
+    ) -> Result<Codebook, CodebookError> {
+        let book = Codebook::from_lengths(lengths)?;
+        if book.max_len != max_len || book.codes != codes {
+            return Err(CodebookError::InconsistentParts);
         }
-    }
-
-    /// Clears the derived decode tables (they are not serialized),
-    /// leaving the book in the same state deserialization produces; both
-    /// tables rebuild themselves on first use, so calling this is never
-    /// required for correctness — the decode LUT heals inside
-    /// `decode_symbol`/`decode_window`, the chain table inside
-    /// [`Codebook::segment_lut`].
-    pub fn rebuild_tables(&mut self) {
-        self.lut = OnceLock::new();
-        self.seg_lut = OnceLock::new();
-    }
-
-    /// The `max_len`-bit decode table, rebuilding it on first use if this
-    /// book was deserialized (the table is derived and never serialized).
-    ///
-    /// The heal path re-derives everything from the **validated length
-    /// vector alone** — canonical codes are fully determined by it (the
-    /// same fact `PartialEq` relies on) — so corrupted or inconsistent
-    /// serialized `codes` can never drive out-of-bounds table writes. A
-    /// book whose serialized fields do not cohere (Kraft violation,
-    /// `max_len` disagreeing with its lengths) gets an all-invalid table
-    /// instead: it decodes nothing, rather than panicking mid-stream.
-    #[inline]
-    fn decode_table(&self) -> &DecodeTable {
-        self.lut.get_or_init(|| {
-            Codebook::from_lengths(&self.lengths)
-                .ok()
-                .filter(|b| b.max_len == self.max_len)
-                .and_then(|b| b.lut.into_inner())
-                .unwrap_or_else(|| DecodeTable {
-                    // `clamp` only bounds the allocation for a corrupt
-                    // out-of-range `max_len`; every constructible book
-                    // has 1 <= max_len <= 15.
-                    lut: vec![(0u16, 0u8); 1usize << self.max_len.clamp(1, 15)],
-                    coherent: false,
-                })
-        })
-    }
-
-    #[inline]
-    fn decode_lut(&self) -> &[(u16, u8)] {
-        &self.decode_table().lut
-    }
-
-    /// Whether this book's serialized fields heal into a valid canonical
-    /// code. `false` means the lengths violate the Kraft inequality, are
-    /// out of bounds, or disagree with the serialized `max_len`: the
-    /// decode table is then all-invalid (every decode returns `None`),
-    /// and ingest paths should surface a typed corrupt-codebook error
-    /// instead of silently zero-filling. The verdict is memoized with the
-    /// healed table, so the check is one atomic load after first use.
-    pub fn revival_coherent(&self) -> bool {
-        self.decode_table().coherent
-    }
-
-    /// The parallel-decoder chain table for this book, built on first use
-    /// and shared (via `Arc`) by every clone made after that.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless all code lengths are in `2..=8` (the parallel-decode
-    /// constraint); see [`SegmentLut::build`].
-    pub fn segment_lut(&self) -> &SegmentLut {
-        self.seg_lut
-            .get_or_init(|| Arc::new(SegmentLut::build(self)))
+        Ok(book)
     }
 
     /// Number of symbols in the alphabet.
@@ -412,10 +326,6 @@ impl Codebook {
     ///
     /// Returns `None` when the remaining bits cannot hold a valid code —
     /// the condition the codec uses to detect a clipped stream.
-    ///
-    /// Per-symbol loops should fetch a [`Codebook::symbol_decoder`] once
-    /// and decode through it: this convenience wrapper re-touches the
-    /// lazily-healed table cache on every call.
     pub fn decode_symbol(&self, reader: &mut BitReader<'_>) -> Option<u16> {
         self.symbol_decoder().decode_symbol(reader)
     }
@@ -423,27 +333,15 @@ impl Codebook {
     /// Decodes one symbol from a `max_len`-bit window value (the hardware
     /// sub-decoder primitive). Returns `(symbol, code_len)` or `None` for
     /// an invalid prefix.
-    ///
-    /// Like [`Codebook::decode_symbol`], hot loops should hoist a
-    /// [`Codebook::symbol_decoder`] instead.
     pub fn decode_window(&self, window: u64) -> Option<(u16, u8)> {
         self.symbol_decoder().decode_window(window)
     }
 
-    /// A borrowed view of the resolved decode table: fetch once per
-    /// block (resolving the lazily-healed cache a single time), then
-    /// decode per symbol with a plain slice index.
+    /// A borrowed view of the decode table for per-symbol loops.
     pub fn symbol_decoder(&self) -> SymbolDecoder<'_> {
-        let lut = self.decode_lut();
-        // The table length is always a power of two; index with the
-        // width it was actually sized for, so a corrupt out-of-range
-        // serialized `max_len` (whose heal produced a smaller
-        // all-invalid table) still decodes to `None` instead of
-        // indexing out of bounds.
-        let width = lut.len().trailing_zeros() as u8;
         SymbolDecoder {
-            lut,
-            max_len: self.max_len.min(width),
+            lut: &self.lut,
+            max_len: self.max_len,
         }
     }
 
@@ -467,9 +365,8 @@ impl Codebook {
     }
 }
 
-/// A per-symbol decoder over one codebook's resolved decode table —
-/// created by [`Codebook::symbol_decoder`] so the table-cache fetch
-/// happens once per block instead of once per symbol.
+/// A per-symbol decoder over one codebook's decode table — created by
+/// [`Codebook::symbol_decoder`].
 #[derive(Clone, Copy, Debug)]
 pub struct SymbolDecoder<'a> {
     lut: &'a [(u16, u8)],
@@ -522,117 +419,44 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn serde_roundtrip_self_heals_decode_tables() {
-        // Regression: a deserialized book arrives with its `#[serde(skip)]`
-        // decode tables defaulted to empty. Both the `max_len`-bit LUT and
-        // the parallel-decoder SegmentLut cache must self-heal on first
-        // decode — no `rebuild_tables` call required (the mirror of the
-        // metadata length-table self-heal).
+    fn serialized_parts_revive_only_the_canonical_code() {
         let freqs = [400u64, 210, 96, 60, 31, 17, 9, 5, 3, 2, 1, 1, 1, 1, 1, 30];
         let book = Codebook::from_frequencies(&freqs, 2, 8).unwrap();
-        // Simulate the exact post-deserialization state: serialized fields
-        // copied, skipped fields at their defaults.
-        let revived = Codebook {
-            lengths: book.lengths.clone(),
-            codes: book.codes.clone(),
-            max_len: book.max_len,
-            lut: OnceLock::new(),
-            seg_lut: OnceLock::new(),
-        };
-        assert!(revived.lut.get().is_none(), "test must start table-less");
-        assert!(revived.revival_coherent(), "healthy revival must cohere");
-
-        // First decode goes straight through the healed table.
-        let mut w = BitWriter::new();
-        for s in [0u16, 3, 1, 15, 7] {
-            book.encode_symbol(&mut w, s);
-        }
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        for s in [0u16, 3, 1, 15, 7] {
-            assert_eq!(revived.decode_symbol(&mut r), Some(s));
-        }
-
-        // decode_window and the SegmentLut probe agree with the original.
+        let revived =
+            Codebook::from_serialized_parts(book.lengths(), book.codes(), book.max_len()).unwrap();
+        assert_eq!(revived.codes(), book.codes());
         for window in 0..(1u64 << book.max_len()) {
             assert_eq!(revived.decode_window(window), book.decode_window(window));
         }
-        for window in [0u64, 0x7FFF, 0x1234, 0x2BAD, 0x5A5A] {
+
+        // Codes that are not the canonical assignment of the lengths: the
+        // encoder would write them while the decoder reads canonical ones.
+        let mut swapped = book.codes().to_vec();
+        let (a, b) = (0..16)
+            .flat_map(|a| (a + 1..16).map(move |b| (a, b)))
+            .find(|&(a, b)| book.lengths()[a] == book.lengths()[b])
+            .expect("two equal-length symbols");
+        swapped.swap(a, b);
+        for codes in [swapped, vec![0xFFFF; 16]] {
             assert_eq!(
-                revived.segment_lut().entry(window),
-                book.segment_lut().entry(window)
+                Codebook::from_serialized_parts(book.lengths(), &codes, book.max_len()),
+                Err(CodebookError::InconsistentParts)
             );
         }
-
-        // rebuild_tables leaves the same (lazily healing) state.
-        let mut rebuilt = book.clone();
-        rebuilt.rebuild_tables();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(rebuilt.decode_symbol(&mut r), Some(0));
-    }
-
-    #[test]
-    fn corrupt_deserialized_books_decode_nothing_instead_of_panicking() {
-        // The self-heal path must trust only the validated length vector:
-        // a revived book with garbage in its serialized `codes` heals to
-        // the canonical table (codes are derived, so decode still works),
-        // and one whose lengths are inconsistent (Kraft violation, or a
-        // max_len that disagrees) decodes nothing rather than indexing
-        // out of bounds mid-stream.
-        let book = Codebook::from_frequencies(&[40u64, 20, 10, 5], 2, 8).unwrap();
-        let mut bytes = BitWriter::new();
-        book.encode_symbol(&mut bytes, 0);
-        book.encode_symbol(&mut bytes, 3);
-        let bytes = bytes.into_bytes();
-
-        // Garbage codes: heal re-derives the canonical ones from lengths.
-        let bad_codes = Codebook {
-            lengths: book.lengths.clone(),
-            codes: vec![0xFFFF; book.lengths.len()],
-            max_len: book.max_len,
-            lut: OnceLock::new(),
-            seg_lut: OnceLock::new(),
-        };
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(bad_codes.decode_symbol(&mut r), Some(0));
-        assert_eq!(bad_codes.decode_symbol(&mut r), Some(3));
-        assert!(
-            bad_codes.revival_coherent(),
-            "codes are derived; lengths alone decide coherence"
-        );
-
-        // Kraft-violating lengths: all-invalid table, every decode None.
-        let bad_lengths = Codebook {
-            lengths: vec![1, 1, 1],
-            codes: vec![0, 1, 2],
-            max_len: 1,
-            lut: OnceLock::new(),
-            seg_lut: OnceLock::new(),
-        };
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(bad_lengths.decode_symbol(&mut r), None);
-        assert_eq!(bad_lengths.decode_window(0), None);
-        assert!(
-            !bad_lengths.revival_coherent(),
-            "Kraft-violating revival must report incoherence"
-        );
-
-        // max_len disagreeing with the lengths: same graceful refusal —
-        // including values past the 15-bit cap and past the shift width,
-        // whose fallback tables are smaller than 2^max_len.
-        for bad in [book.max_len + 1, 20, 200] {
-            let bad_max = Codebook {
-                lengths: book.lengths.clone(),
-                codes: book.codes.clone(),
-                max_len: bad,
-                lut: OnceLock::new(),
-                seg_lut: OnceLock::new(),
-            };
-            let mut r = BitReader::new(&bytes);
-            assert_eq!(bad_max.decode_symbol(&mut r), None, "max_len {bad}");
-            assert_eq!(bad_max.decode_window(u64::MAX), None, "max_len {bad}");
-            assert!(!bad_max.revival_coherent(), "max_len {bad} must not cohere");
+        // A max_len that disagrees with the lengths, including values past
+        // the 15-bit cap.
+        for bad in [book.max_len() + 1, 20, 200] {
+            assert_eq!(
+                Codebook::from_serialized_parts(book.lengths(), book.codes(), bad),
+                Err(CodebookError::InconsistentParts)
+            );
         }
+        // Kraft-violating and zero lengths.
+        assert_eq!(
+            Codebook::from_serialized_parts(&[1, 1, 1], &[0, 1, 2], 1),
+            Err(CodebookError::KraftViolation)
+        );
+        assert!(Codebook::from_serialized_parts(&[0; 16], &[0; 16], 8).is_err());
     }
 
     #[test]

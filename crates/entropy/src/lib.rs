@@ -13,8 +13,6 @@
 //! * [`huffman`] — optimal length-limited prefix codes via the
 //!   package-merge algorithm, canonical code assignment, and bitstream
 //!   encode/decode on top of [`ecco_bits`],
-//! * [`lut`] — precomputed per-codebook sub-decoder chain tables, the
-//!   single-probe primitive behind the parallel decoder's hot path,
 //! * [`multi`] — packed per-symbol length lanes that total a symbol
 //!   stream's encoded length under all `H` candidate codebooks in a single
 //!   pass, the encoder-side hot-path primitive behind codebook selection.
@@ -44,11 +42,9 @@
 #![warn(missing_docs)]
 
 pub mod huffman;
-pub mod lut;
 pub mod multi;
 pub mod stats;
 
 pub use huffman::{Codebook, CodebookError, SymbolDecoder};
-pub use lut::{ChainEntry, SegmentLut};
 pub use multi::{encoded_len_multi, MultiEncodedLen, MultiLenTable};
 pub use stats::{bit_efficiency, shannon_entropy, unique_values, BitEfficiency};

@@ -15,7 +15,7 @@
 use ecco_bits::{BitWriter, Block64, BLOCK_BITS};
 use ecco_core::block::{EncodedGroupInfo, OUTLIER_BITS};
 use ecco_core::{normalize_group, TensorMetadata, SCALE_SYMBOL};
-use ecco_numerics::F8E4M3;
+use ecco_numerics::{Po2Scale, F8E4M3};
 
 use crate::bitonic::BitonicSorter;
 
@@ -30,27 +30,30 @@ pub struct CompressorTrace {
     pub encoders: usize,
 }
 
-/// The hardware compressor bound to tensor metadata.
+/// The hardware compressor bound to the shared codec tables and one
+/// tensor's FP8 scale.
 #[derive(Clone, Debug)]
 pub struct HwCompressor<'a> {
     meta: &'a TensorMetadata,
+    scale: Po2Scale,
     sorter: BitonicSorter,
 }
 
 impl<'a> HwCompressor<'a> {
     /// Creates a compressor over `meta` (at most 16 patterns, per the
-    /// paper's hardware reduction).
+    /// paper's hardware reduction) for a tensor compressed under `scale`.
     ///
     /// # Panics
     ///
     /// Panics if the metadata holds more than 16 patterns.
-    pub fn new(meta: &'a TensorMetadata) -> HwCompressor<'a> {
+    pub fn new(meta: &'a TensorMetadata, scale: Po2Scale) -> HwCompressor<'a> {
         assert!(
-            meta.patterns.len() <= 16,
+            meta.num_patterns() <= 16,
             "the hardware pattern selector supports at most 16 patterns"
         );
         HwCompressor {
             meta,
+            scale,
             sorter: BitonicSorter::new(),
         }
     }
@@ -61,14 +64,14 @@ impl<'a> HwCompressor<'a> {
     ///
     /// Panics if `group.len() != 128`.
     pub fn compress_group(&self, group: &[f32]) -> (Block64, EncodedGroupInfo, CompressorTrace) {
-        assert_eq!(group.len(), self.meta.group_size, "group size mismatch");
+        assert_eq!(group.len(), self.meta.group_size(), "group size mismatch");
 
         // Stage 1: bitonic sorter.
         let sorted = self.sorter.sort(group);
         let (max_pos, _) = sorted.absmax();
 
         // Normalization (the shared multiply-and-round circuit).
-        let ng = normalize_group(group, self.meta.tensor_scale);
+        let ng = normalize_group(group, self.scale);
         debug_assert_eq!(ng.max_pos, max_pos, "sorter and normalizer agree");
 
         // Stage 2: min/max pattern selector (2 comparisons per pattern).
@@ -78,14 +81,14 @@ impl<'a> HwCompressor<'a> {
         };
         let mut kp = 0usize;
         let mut best = f64::INFINITY;
-        for (i, p) in self.meta.patterns.iter().enumerate() {
+        for (i, p) in self.meta.patterns().iter().enumerate() {
             let fit = p.minmax_fitness(lo, hi);
             if fit < best {
                 best = fit;
                 kp = i;
             }
         }
-        let pattern = &self.meta.patterns[kp];
+        let pattern = &self.meta.patterns()[kp];
 
         // Value mappers: symbol per lane.
         let symbols: Vec<u16> = ng
@@ -102,7 +105,7 @@ impl<'a> HwCompressor<'a> {
             .collect();
 
         // Stage 3: four parallel encoders; shortest total length wins.
-        let books = &self.meta.books[kp];
+        let books = &self.meta.books()[kp];
         let (book_id, data_len) = books
             .iter()
             .enumerate()
@@ -113,11 +116,11 @@ impl<'a> HwCompressor<'a> {
 
         // Concatenated result: header, data (clipped), outliers.
         let mut w = BitWriter::with_capacity(BLOCK_BITS);
-        if self.meta.id_hf_bits > 0 {
-            w.write_bits(book_id as u64, self.meta.id_hf_bits);
+        if self.meta.id_hf_bits() > 0 {
+            w.write_bits(book_id as u64, self.meta.id_hf_bits());
         }
         w.write_bits(ng.sf_bits as u64, 8);
-        self.meta.pattern_code.encode_symbol(&mut w, kp as u16);
+        self.meta.pattern_code().encode_symbol(&mut w, kp as u16);
         let header_bits = w.bit_len();
         let budget = BLOCK_BITS - header_bits;
 
@@ -135,7 +138,7 @@ impl<'a> HwCompressor<'a> {
             info.data_bits = data_len;
             let n_out = (budget - data_len) / OUTLIER_BITS;
             for &(pos, val) in sorted.top_outliers(n_out) {
-                let f8 = F8E4M3::from_f32(self.meta.tensor_scale.compress(val));
+                let f8 = F8E4M3::from_f32(self.scale.compress(val));
                 w.write_bits(pos as u64, 7);
                 w.write_bits(f8.to_bits() as u64, 8);
                 info.padded_outliers += 1;
@@ -156,13 +159,13 @@ impl<'a> HwCompressor<'a> {
                 }
             }
             info.data_bits = BLOCK_BITS - header_bits;
-            info.clipped_symbols = self.meta.group_size - full;
+            info.clipped_symbols = self.meta.group_size() - full;
         }
 
         let block = Block64::from_writer(w).expect("pipeline never exceeds 512 bits");
         let trace = CompressorTrace {
             sorter_stages: sorted.stages,
-            patterns_scored: self.meta.patterns.len(),
+            patterns_scored: self.meta.num_patterns(),
             encoders: books.len(),
         };
         (block, info, trace)
@@ -191,9 +194,10 @@ mod tests {
             .seeded(111)
             .generate();
         let meta = meta_for(&t);
-        let hw = HwCompressor::new(&meta);
+        let scale = TensorMetadata::scale_for(&t);
+        let hw = HwCompressor::new(&meta, scale);
         for g in t.groups(128) {
-            let (ref_block, ref_info) = encode_group(g, &meta, PatternSelector::MinMax);
+            let (ref_block, ref_info) = encode_group(g, &meta, scale, PatternSelector::MinMax);
             let (hw_block, hw_info, _) = hw.compress_group(g);
             assert_eq!(ref_info, hw_info);
             assert_eq!(ref_block.as_bytes(), hw_block.as_bytes());
@@ -206,7 +210,7 @@ mod tests {
             .seeded(112)
             .generate();
         let meta = meta_for(&t);
-        let hw = HwCompressor::new(&meta);
+        let hw = HwCompressor::new(&meta, TensorMetadata::scale_for(&t));
         let g = t.groups(128).next().unwrap();
         let (_, _, trace) = hw.compress_group(g);
         assert_eq!(trace.sorter_stages, 28);
@@ -225,6 +229,9 @@ mod tests {
             ..EccoConfig::default()
         };
         let meta = TensorMetadata::calibrate(&[&t], &cfg, PatternSelector::MseOptimal);
-        assert!(std::panic::catch_unwind(|| HwCompressor::new(&meta)).is_err());
+        assert!(
+            std::panic::catch_unwind(|| HwCompressor::new(&meta, meta.calibration_scale()))
+                .is_err()
+        );
     }
 }

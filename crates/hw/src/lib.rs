@@ -10,6 +10,9 @@
 //!
 //! * [`bitonic`] — the 128-lane bitonic sorting network the compressor
 //!   uses to extract the scale factor, top-16 outliers and group min/max,
+//! * [`lut`] — the per-codebook sub-decoder chain tables (256 KiB each)
+//!   the parallel decoder probes, built on first use and cached here, so
+//!   no production path ever builds one,
 //! * [`paradec`] — the 64-decoder × 8-sub-decoder speculative parallel
 //!   Huffman decoder with its 6-stage concatenation tree and per-block
 //!   work accounting ([`DecodeStats`]), proven equivalent to sequential
@@ -36,10 +39,10 @@
 //! let codec = WeightCodec::calibrate(&[&t], &EccoConfig::default());
 //! let (ct, _) = codec.compress_parallel(&t);
 //!
-//! let meta = codec.metadata().with_scale(ct.tensor_scale());
 //! let mut hw_values = Vec::new();
 //! for block in ct.blocks() {
-//!     let (values, trace) = ecco_hw::decode_block_parallel(block, &meta).unwrap();
+//!     let (values, trace) =
+//!         ecco_hw::decode_block_parallel(block, codec.metadata(), ct.tensor_scale()).unwrap();
 //!     assert_eq!(trace.merge_stages, 6); // the 6-stage concatenation tree
 //!     hw_values.extend(values);
 //! }
@@ -52,11 +55,13 @@
 pub mod area;
 pub mod bitonic;
 pub mod compressor;
+pub mod lut;
 pub mod paradec;
 pub mod pipeline;
 
 pub use area::{AreaPowerModel, ComponentArea};
 pub use bitonic::BitonicSorter;
 pub use compressor::HwCompressor;
+pub use lut::{segment_lut, SegmentLut};
 pub use paradec::{decode_block_parallel, DecodeStats, ParallelDecoder};
 pub use pipeline::{PipelineSpec, StreamSim, StreamStats};

@@ -28,11 +28,14 @@
 //! bit  51       bad: the chain stopped on an invalid prefix before bit 8
 //! ```
 //!
-//! The table holds `2^15` entries (256 KiB). It is built lazily, once per
-//! [`Codebook`], and shared by all clones of that book (see
-//! [`Codebook::segment_lut`]).
+//! The table holds `2^15` entries (256 KiB). Only the oracle decoder
+//! needs it, so it is built on first use per book and cached here (see
+//! [`segment_lut`]) rather than carried by every [`Codebook`].
 
-use crate::huffman::Codebook;
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Mutex, PoisonError};
+
+use ecco_entropy::Codebook;
 
 /// Window width each sub-decoder sees: 8 own bits + 7 overlap bits.
 pub const WINDOW_BITS: u32 = 15;
@@ -181,6 +184,42 @@ impl SegmentLut {
     }
 }
 
+/// Books whose chain tables [`segment_lut`] keeps at once (64 MiB); a
+/// full cache is emptied before the next insert.
+const CACHED_BOOKS: usize = 256;
+
+/// Chain tables built so far, keyed by code lengths: a canonical book is
+/// fully determined by them.
+static CACHE: LazyLock<Mutex<HashMap<Vec<u8>, Arc<SegmentLut>>>> =
+    LazyLock::new(|| Mutex::new(HashMap::new()));
+
+/// The chain table for `book`, built on first use and shared by every
+/// later call for a book with the same code lengths.
+///
+/// # Panics
+///
+/// Panics unless all code lengths are in `2..=8`; see
+/// [`SegmentLut::build`].
+pub fn segment_lut(book: &Codebook) -> Arc<SegmentLut> {
+    let cached = CACHE
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(book.lengths())
+        .cloned();
+    if let Some(lut) = cached {
+        return lut;
+    }
+    // Build outside the lock: a rejected book panics here without
+    // poisoning the cache for other threads.
+    let lut = Arc::new(SegmentLut::build(book));
+    let mut cache = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
+    if cache.len() >= CACHED_BOOKS {
+        cache.clear();
+    }
+    cache.insert(book.lengths().to_vec(), Arc::clone(&lut));
+    lut
+}
+
 impl std::fmt::Debug for SegmentLut {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "SegmentLut({} entries)", self.entries.len())
@@ -244,6 +283,18 @@ mod tests {
         assert!(!e.bad() || e.count() > 0);
         for (i, &sym) in symbols.iter().take(e.count()).enumerate() {
             assert_eq!(e.sym(i), sym, "chain symbol {i}");
+        }
+    }
+
+    #[test]
+    fn cached_table_matches_a_fresh_build() {
+        let book = Codebook::from_frequencies(&[9u64, 7, 5, 3, 2, 1, 1, 1], 2, 8).unwrap();
+        let fresh = SegmentLut::build(&book);
+        for _ in 0..2 {
+            let cached = segment_lut(&book);
+            for window in [0u64, 0x7FFF, 0x1234, 0x2BAD] {
+                assert_eq!(cached.entry(window), fresh.entry(window));
+            }
         }
     }
 

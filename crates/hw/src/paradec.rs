@@ -31,7 +31,7 @@
 //!    resolved by one gathered
 //!    [`SegmentLut::entries8`] probe (a `2^15`-entry table mapping a
 //!    window to its packed chain of up to four `(symbol, end)` pairs —
-//!    layout in [`ecco_entropy::lut`]). Each chain is truncated to its
+//!    layout in [`crate::lut`]). Each chain is truncated to its
 //!    entry offset's bit budget by index math only, yielding a fixed-size
 //!    `SegRecord` (symbols inline, no heap) in a stack table of 64×8
 //!    records.
@@ -61,9 +61,13 @@
 //! [`DecodeStats`] reports the hardware's work per block.
 
 use ecco_bits::{Block64, BlockCursor, BLOCK_BITS};
+use std::sync::Arc;
+
 use ecco_core::{decode_group_with, DecodeError, TensorMetadata};
-use ecco_entropy::lut::{ChainEntry, SegmentLut, MAX_CHAIN, WINDOW_BITS as LUT_WINDOW_BITS};
 use ecco_entropy::Codebook;
+use ecco_numerics::Po2Scale;
+
+use crate::lut::{segment_lut, ChainEntry, SegmentLut, MAX_CHAIN, WINDOW_BITS as LUT_WINDOW_BITS};
 
 /// Bits per decoder segment.
 pub const SEGMENT_BITS: usize = 8;
@@ -160,26 +164,26 @@ pub struct ParallelDecodeResult {
 
 /// The parallel decoder bound to one Huffman codebook.
 #[derive(Debug)]
-pub struct ParallelDecoder<'a> {
-    lut: &'a SegmentLut,
+pub struct ParallelDecoder {
+    lut: Arc<SegmentLut>,
 }
 
-impl<'a> ParallelDecoder<'a> {
+impl ParallelDecoder {
     /// Creates a decoder for `book`, building (or reusing) the book's
-    /// sub-decoder chain table.
+    /// sub-decoder chain table ([`segment_lut`]).
     ///
     /// # Panics
     ///
     /// Panics if the book's longest code exceeds 8 bits — the hardware's
     /// 15-bit windows require the 2..=8-bit constraint (the table build
     /// also rejects codes shorter than 2 bits).
-    pub fn new(book: &'a Codebook) -> ParallelDecoder<'a> {
+    pub fn new(book: &Codebook) -> ParallelDecoder {
         assert!(
             book.max_len() <= SEGMENT_BITS as u8,
             "parallel decoding requires codes of at most 8 bits"
         );
         ParallelDecoder {
-            lut: book.segment_lut(),
+            lut: segment_lut(book),
         }
     }
 
@@ -310,15 +314,24 @@ fn ceil_log2(n: usize) -> usize {
 pub fn decode_block_parallel(
     block: &Block64,
     meta: &TensorMetadata,
+    scale: Po2Scale,
 ) -> Result<(Vec<f32>, ParallelDecodeResult), DecodeError> {
-    let mut values = Vec::with_capacity(meta.group_size);
-    let mut symbols = Vec::with_capacity(meta.group_size);
-    let (_, stats) = decode_group_with(block, meta, &mut values, |book, r, max, table, out| {
-        let stats = ParallelDecoder::new(book).decode_into(block, r.bit_pos(), max, &mut symbols);
-        out.extend(symbols.iter().map(|&s| table.value(s)));
-        r.seek(stats.end_bit);
-        stats
-    })?;
+    let gs = meta.group_size();
+    let mut values = Vec::with_capacity(gs);
+    let mut symbols = Vec::with_capacity(gs);
+    let (_, stats) = decode_group_with(
+        block,
+        meta,
+        scale,
+        &mut values,
+        |book, r, max, table, out| {
+            let stats =
+                ParallelDecoder::new(book).decode_into(block, r.bit_pos(), max, &mut symbols);
+            out.extend(symbols.iter().map(|&s| table.value(s)));
+            r.seek(stats.end_bit);
+            stats
+        },
+    )?;
     let result = ParallelDecodeResult {
         symbols,
         end_bit: stats.end_bit,
@@ -474,10 +487,11 @@ mod tests {
             .seeded(101)
             .generate();
         let meta = meta_for(&t);
+        let sc = meta.calibration_scale();
         for g in t.groups(128) {
-            let (block, _) = encode_group(g, &meta, PatternSelector::MseOptimal);
-            let (seq, _) = ecco_core::decode_group(&block, &meta).unwrap();
-            let (par, _) = decode_block_parallel(&block, &meta).unwrap();
+            let (block, _) = encode_group(g, &meta, sc, PatternSelector::MseOptimal);
+            let (seq, _) = ecco_core::decode_group(&block, &meta, sc).unwrap();
+            let (par, _) = decode_block_parallel(&block, &meta, sc).unwrap();
             assert_eq!(seq, par, "parallel decode must match sequential");
         }
     }
@@ -488,19 +502,24 @@ mod tests {
         let t = SynthSpec::for_kind(TensorKind::Weight, 8, 512)
             .seeded(102)
             .generate();
-        let mut meta = meta_for(&t);
+        let calibrated = meta_for(&t);
         let uniform = Codebook::from_frequencies(&[1u64; 16], 4, 4).unwrap();
-        for row in &mut meta.books {
-            for b in row {
-                *b = uniform.clone();
-            }
-        }
+        let meta = TensorMetadata::from_parts(
+            calibrated.calibration_scale(),
+            calibrated.patterns().to_vec(),
+            vec![vec![uniform; calibrated.books_per_pattern()]; calibrated.num_patterns()],
+            calibrated.pattern_code().clone(),
+            calibrated.id_hf_bits(),
+            calibrated.group_size(),
+        )
+        .unwrap();
+        let sc = meta.calibration_scale();
         let mut clipped_seen = false;
         for g in t.groups(128) {
-            let (block, info) = encode_group(g, &meta, PatternSelector::MseOptimal);
+            let (block, info) = encode_group(g, &meta, sc, PatternSelector::MseOptimal);
             clipped_seen |= info.clipped_symbols > 0;
-            let (seq, sinfo) = ecco_core::decode_group(&block, &meta).unwrap();
-            let (par, pres) = decode_block_parallel(&block, &meta).unwrap();
+            let (seq, sinfo) = ecco_core::decode_group(&block, &meta, sc).unwrap();
+            let (par, pres) = decode_block_parallel(&block, &meta, sc).unwrap();
             assert_eq!(seq, par);
             assert_eq!(sinfo.decoded_symbols, pres.symbols.len());
         }
@@ -513,9 +532,10 @@ mod tests {
             .seeded(103)
             .generate();
         let meta = meta_for(&t);
+        let sc = meta.calibration_scale();
         let g = t.groups(128).next().unwrap();
-        let (block, _) = encode_group(g, &meta, PatternSelector::MseOptimal);
-        let (_, res) = decode_block_parallel(&block, &meta).unwrap();
+        let (block, _) = encode_group(g, &meta, sc, PatternSelector::MseOptimal);
+        let (_, res) = decode_block_parallel(&block, &meta, sc).unwrap();
         // Data starts within the first couple of segments; merging ~63-64
         // segments takes exactly 6 binary stages.
         assert_eq!(res.merge_stages, 6);
@@ -569,25 +589,26 @@ mod tests {
         fn equivalence_under_random_tensors(seed in 0u64..500) {
             let t = SynthSpec::for_kind(TensorKind::KCache, 4, 512).seeded(seed).generate();
             let meta = meta_for(&t);
+            let sc = meta.calibration_scale();
             let host_tier = ecco_bits::window_dispatch();
             for g in t.groups(128) {
-                let (block, _) = encode_group(g, &meta, PatternSelector::MinMax);
-                let (seq, _) = ecco_core::decode_group(&block, &meta).unwrap();
+                let (block, _) = encode_group(g, &meta, sc, PatternSelector::MinMax);
+                let (seq, _) = ecco_core::decode_group(&block, &meta, sc).unwrap();
                 let header = ecco_core::block::parse_block_header(&block, &meta).unwrap();
                 let oracle = seed_port::decode(
-                    &meta.books[header.kp][header.book_id],
+                    &meta.books()[header.kp][header.book_id],
                     &block,
                     header.data_start,
-                    meta.group_size,
+                    meta.group_size(),
                 );
                 // Batched arm (host dispatch: AVX2/NEON where available).
-                let (par, pres) = decode_block_parallel(&block, &meta).unwrap();
+                let (par, pres) = decode_block_parallel(&block, &meta, sc).unwrap();
                 prop_assert_eq!(&seq, &par, "batched arm diverged from sequential");
                 prop_assert_eq!(&pres.symbols, &oracle.symbols, "batched arm diverged from seed port");
                 prop_assert_eq!(pres.end_bit, oracle.end_bit);
                 // Forced-scalar arm.
                 ecco_bits::set_window_dispatch(ecco_bits::WindowDispatch::Portable);
-                let scalar = decode_block_parallel(&block, &meta);
+                let scalar = decode_block_parallel(&block, &meta, sc);
                 ecco_bits::set_window_dispatch(host_tier);
                 let (par_s, pres_s) = scalar.unwrap();
                 prop_assert_eq!(&seq, &par_s, "forced-scalar arm diverged from sequential");

@@ -14,12 +14,11 @@
 //! are deterministic given a seed (k-means++ initialization over a seeded
 //! [`rand::rngs::StdRng`]), which keeps every experiment reproducible.
 //!
-//! Calibration runs thousands of *independent* per-group fits, so the hot
-//! entry point is [`fit_scalar_batch`]: it shards a slice of
-//! [`ScalarJob`]s across the rayon pool and collects results in job order.
-//! Each job carries its own seed and re-seeds its own RNG, so the batch is
-//! bit-identical to running `jobs[i].fit(cfg)` in a sequential loop — the
-//! determinism guarantee `ecco-core`'s parallel calibration is built on.
+//! Calibration runs thousands of *independent* per-group fits, each
+//! described by a [`ScalarJob`]. Each job carries its own seed and
+//! re-seeds its own RNG, so sharding jobs across workers is bit-identical
+//! to running `jobs[i].fit(cfg)` in a sequential loop — the determinism
+//! guarantee `ecco-core`'s parallel calibration is built on.
 //!
 //! # Examples
 //!
@@ -37,7 +36,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// Configuration shared by the scalar and vector fitters.
 #[derive(Clone, Debug, PartialEq)]
@@ -155,7 +153,7 @@ pub fn fit_scalar(points: &[f32], weights: Option<&[f32]>, cfg: &KmeansConfig) -
     }
 }
 
-/// One independent scalar fit in a [`fit_scalar_batch`] call: the points
+/// One independent scalar fit of a calibration batch: the points
 /// to cluster, optional per-point weights, and the per-job RNG seed
 /// (Ecco derives it from the calibration seed and the group index).
 #[derive(Clone, Copy, Debug)]
@@ -169,8 +167,8 @@ pub struct ScalarJob<'a> {
 }
 
 impl ScalarJob<'_> {
-    /// Runs this job alone — the sequential unit [`fit_scalar_batch`]
-    /// shards across the pool.
+    /// Runs this job alone — the unit calibration shards across the
+    /// worker pool.
     ///
     /// # Panics
     ///
@@ -178,21 +176,6 @@ impl ScalarJob<'_> {
     pub fn fit(&self, cfg: &KmeansConfig) -> ScalarFit {
         fit_scalar(self.points, self.weights, &cfg.clone().seeded(self.seed))
     }
-}
-
-/// Fits every job across the rayon pool, preserving job order.
-///
-/// The result at index `i` is **bit-identical** to `jobs[i].fit(cfg)`:
-/// every job re-seeds its own RNG from `ScalarJob::seed`, so no state
-/// crosses job boundaries and sharding cannot change any result. This is
-/// the primitive behind `ecco-core`'s parallel calibration (paper step 3:
-/// one 15-cluster fit per sampled group).
-///
-/// # Panics
-///
-/// Panics if any job violates the [`fit_scalar`] preconditions.
-pub fn fit_scalar_batch(jobs: &[ScalarJob<'_>], cfg: &KmeansConfig) -> Vec<ScalarFit> {
-    jobs.par_iter().map(|job| job.fit(cfg)).collect()
 }
 
 /// Fills `out` with the decision boundaries of a **sorted** centroid
@@ -512,36 +495,6 @@ mod tests {
         let a = fit_scalar(&pts, None, &KmeansConfig::with_k(15));
         let b = fit_scalar(&pts, None, &KmeansConfig::with_k(15));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn batch_fit_bit_identical_to_sequential() {
-        let groups: Vec<Vec<f32>> = (0..48)
-            .map(|g| {
-                (0..127)
-                    .map(|i| (((i * 31 + g * 7) % 113) as f32 / 56.5) - 1.0)
-                    .collect()
-            })
-            .collect();
-        let weights: Vec<Vec<f32>> = groups
-            .iter()
-            .map(|g| g.iter().map(|v| v * v + 0.1).collect())
-            .collect();
-        let cfg = KmeansConfig::with_k(15);
-        let jobs: Vec<ScalarJob<'_>> = groups
-            .iter()
-            .zip(&weights)
-            .enumerate()
-            .map(|(i, (g, w))| ScalarJob {
-                points: g,
-                weights: if i % 2 == 0 { Some(w) } else { None },
-                seed: 0xECC0 + i as u64,
-            })
-            .collect();
-        let batch = fit_scalar_batch(&jobs, &cfg);
-        for (job, fit) in jobs.iter().zip(&batch) {
-            assert_eq!(fit, &job.fit(&cfg), "batch result diverged from solo fit");
-        }
     }
 
     #[test]

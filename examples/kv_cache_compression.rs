@@ -36,14 +36,13 @@ fn main() {
     // chains them by end-of-parse offsets; verify it agrees with the
     // sequential reference on live blocks.
     let codec = KvCodec::calibrate(&[&k_cache], &EccoConfig::default());
-    let meta = codec
-        .metadata()
-        .with_scale(TensorMetadata::scale_for(&k_cache));
+    let meta = codec.metadata();
+    let scale = TensorMetadata::scale_for(&k_cache);
     let mut checked = 0usize;
     for group in k_cache.groups(128).take(256) {
-        let (block, _) = encode_group(group, &meta, PatternSelector::MinMax);
-        let (seq, _) = decode_group(&block, &meta).expect("valid block");
-        let (par, trace) = decode_block_parallel(&block, &meta).expect("valid block");
+        let (block, _) = encode_group(group, meta, scale, PatternSelector::MinMax);
+        let (seq, _) = decode_group(&block, meta, scale).expect("valid block");
+        let (par, trace) = decode_block_parallel(&block, meta, scale).expect("valid block");
         assert_eq!(seq, par, "parallel decoder must match sequential");
         assert_eq!(trace.merge_stages, 6);
         checked += 1;

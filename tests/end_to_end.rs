@@ -25,10 +25,10 @@ fn weight_pipeline_end_to_end() {
     assert!((stats.nmse() - e).abs() < 1e-9);
 
     // Every block decodes identically through the hardware parallel model.
-    let meta = codec.metadata().with_scale(TensorMetadata::scale_for(&w));
+    let (meta, scale) = (codec.metadata(), ct.tensor_scale());
     for block in ct.blocks().iter().take(64) {
-        let (seq, _) = decode_group(block, &meta).expect("valid block");
-        let (par, _) = decode_block_parallel(block, &meta).expect("valid block");
+        let (seq, _) = decode_group(block, meta, scale).expect("valid block");
+        let (par, _) = decode_block_parallel(block, meta, scale).expect("valid block");
         assert_eq!(seq, par);
     }
 }
@@ -39,11 +39,11 @@ fn kv_pipeline_with_hw_compressor() {
         .seeded(1002)
         .generate();
     let codec = KvCodec::calibrate(&[&k], &EccoConfig::default());
-    let meta = codec.metadata().with_scale(TensorMetadata::scale_for(&k));
-    let hw = HwCompressor::new(&meta);
+    let (meta, scale) = (codec.metadata(), TensorMetadata::scale_for(&k));
+    let hw = HwCompressor::new(meta, scale);
 
     for group in k.groups(128).take(128) {
-        let (sw_block, sw_info) = encode_group(group, &meta, PatternSelector::MinMax);
+        let (sw_block, sw_info) = encode_group(group, meta, scale, PatternSelector::MinMax);
         let (hw_block, hw_info, trace) = hw.compress_group(group);
         assert_eq!(sw_block.as_bytes(), hw_block.as_bytes(), "hw == sw codec");
         assert_eq!(sw_info, hw_info);

@@ -21,11 +21,11 @@ fn assert_hw_matches_per_block(blocks: &[Block64], meta: &TensorMetadata) {
         set_window_dispatch(tier);
         let hw: Vec<_> = blocks
             .iter()
-            .map(|b| decode_block_parallel(b, meta).map(|(v, _)| v))
+            .map(|b| decode_block_parallel(b, meta, meta.calibration_scale()).map(|(v, _)| v))
             .collect();
         set_window_dispatch(host_tier);
         for (i, (b, hw)) in blocks.iter().zip(hw).enumerate() {
-            let seq = decode_group(b, meta).map(|(v, _)| v);
+            let seq = decode_group(b, meta, meta.calibration_scale()).map(|(v, _)| v);
             assert_eq!(hw, seq, "block {i} diverged on the {tier:?} arm");
         }
     }
@@ -47,13 +47,14 @@ fn test_meta() -> (TensorMetadata, Tensor) {
 #[test]
 fn single_bit_flips_never_panic() {
     let (meta, t) = test_meta();
+    let sc = meta.calibration_scale();
     let g = t.groups(128).next().unwrap();
-    let (block, _) = encode_group(g, &meta, PatternSelector::MseOptimal);
+    let (block, _) = encode_group(g, &meta, sc, PatternSelector::MseOptimal);
     for bit in 0..BLOCK_BITS {
         let mut bytes = *block.as_bytes();
         bytes[bit / 8] ^= 1 << (7 - bit % 8);
         let corrupted = Block64::from_bytes(bytes);
-        match decode_group(&corrupted, &meta) {
+        match decode_group(&corrupted, &meta, sc) {
             Ok((vals, _)) => assert_eq!(vals.len(), 128),
             Err(e) => assert!(matches!(
                 e.kind,
@@ -65,8 +66,8 @@ fn single_bit_flips_never_panic() {
         // The parallel model must agree with the sequential decoder even
         // on corrupted data (same error or same values).
         match (
-            decode_group(&corrupted, &meta),
-            decode_block_parallel(&corrupted, &meta),
+            decode_group(&corrupted, &meta, sc),
+            decode_block_parallel(&corrupted, &meta, sc),
         ) {
             (Ok((a, _)), Ok((b, _))) => assert_eq!(a, b, "bit {bit}"),
             (Err(ea), Err(eb)) => assert_eq!(ea, eb, "bit {bit}"),
@@ -78,9 +79,10 @@ fn single_bit_flips_never_panic() {
 #[test]
 fn all_zero_and_all_one_blocks() {
     let (meta, _) = test_meta();
+    let sc = meta.calibration_scale();
     for fill in [0x00u8, 0xFF] {
         let block = Block64::from_bytes([fill; 64]);
-        if let Ok((vals, _)) = decode_group(&block, &meta) {
+        if let Ok((vals, _)) = decode_group(&block, &meta, sc) {
             assert_eq!(vals.len(), 128)
         }
     }
@@ -89,13 +91,14 @@ fn all_zero_and_all_one_blocks() {
 #[test]
 fn truncated_writer_blocks_are_zero_padded_safely() {
     let (meta, _) = test_meta();
+    let sc = meta.calibration_scale();
     // A header-only block: valid header fields, no symbol data at all.
     let mut w = BitWriter::new();
-    w.write_bits(0, meta.id_hf_bits); // book 0
+    w.write_bits(0, meta.id_hf_bits()); // book 0
     w.write_bits(0x38, 8); // SF = 1.0 in FP8
-    meta.pattern_code.encode_symbol(&mut w, 0);
+    meta.pattern_code().encode_symbol(&mut w, 0);
     let block = Block64::from_writer(w).unwrap();
-    let (vals, info) = decode_group(&block, &meta).expect("header is valid");
+    let (vals, info) = decode_group(&block, &meta, sc).expect("header is valid");
     assert_eq!(vals.len(), 128);
     // Whatever the zero-fill decodes to, the total is always 128 values
     // and the clip accounting covers the remainder.
@@ -105,6 +108,7 @@ fn truncated_writer_blocks_are_zero_padded_safely() {
 #[test]
 fn random_blocks_fuzz_both_decoders() {
     let (meta, _) = test_meta();
+    let sc = meta.calibration_scale();
     let mut state = 0xDEADBEEFu64;
     for _ in 0..500 {
         let mut bytes = [0u8; 64];
@@ -115,8 +119,8 @@ fn random_blocks_fuzz_both_decoders() {
             *b = (state >> 56) as u8;
         }
         let block = Block64::from_bytes(bytes);
-        let seq = decode_group(&block, &meta);
-        let par = decode_block_parallel(&block, &meta);
+        let seq = decode_group(&block, &meta, sc);
+        let par = decode_block_parallel(&block, &meta, sc);
         match (seq, par) {
             (Ok((a, _)), Ok((b, _))) => assert_eq!(a, b),
             (Err(a), Err(b)) => assert_eq!(a, b),
@@ -134,13 +138,14 @@ fn batched_pipeline_survives_truncated_and_garbage_blocks() {
     // bit-identical to per-block decoding — which the hardware oracle
     // reproduces on both window-dispatch arms.
     let (meta, _) = test_meta();
+    let sc = meta.calibration_scale();
 
     // Truncated block: valid header, zero symbol data (the encoder's
     // zero-fill clip shape).
     let mut w = BitWriter::new();
-    w.write_bits(0, meta.id_hf_bits);
+    w.write_bits(0, meta.id_hf_bits());
     w.write_bits(0x38, 8); // SF = 1.0 in FP8
-    meta.pattern_code.encode_symbol(&mut w, 0);
+    meta.pattern_code().encode_symbol(&mut w, 0);
     let truncated = Block64::from_writer(w).unwrap();
 
     let mut candidates = vec![truncated, Block64::from_bytes([0x00; 64])];
@@ -162,25 +167,28 @@ fn batched_pipeline_survives_truncated_and_garbage_blocks() {
     let decodable: Vec<Block64> = candidates
         .iter()
         .copied()
-        .filter(|b| decode_group(b, &meta).is_ok())
+        .filter(|b| decode_group(b, &meta, sc).is_ok())
         .collect();
     assert!(decodable.len() > 1, "need decodable garbage in the batch");
 
     let mut reference = Vec::new();
     for b in &decodable {
-        reference.extend(decode_group(b, &meta).unwrap().0);
+        reference.extend(decode_group(b, &meta, sc).unwrap().0);
     }
-    let batched = decode_groups_parallel(&decodable, &meta).unwrap();
+    let batched = decode_groups_parallel(&decodable, &meta, sc).unwrap();
     assert_eq!(batched, reference, "batched pipeline diverged on garbage");
     assert_hw_matches_per_block(&candidates, &meta);
 
     // A batch containing a corrupted header must surface that block's
     // error, exactly as the sequential loop would — now located at the
     // block's index in the batch.
-    if let Some(bad) = candidates.iter().find(|b| decode_group(b, &meta).is_err()) {
+    if let Some(bad) = candidates
+        .iter()
+        .find(|b| decode_group(b, &meta, sc).is_err())
+    {
         let mixed = vec![decodable[0], *bad, decodable[1]];
-        let got = decode_groups_parallel(&mixed, &meta).unwrap_err();
-        assert_eq!(got.kind, decode_group(bad, &meta).unwrap_err().kind);
+        let got = decode_groups_parallel(&mixed, &meta, sc).unwrap_err();
+        assert_eq!(got.kind, decode_group(bad, &meta, sc).unwrap_err().kind);
         assert_eq!(got.block, Some(1), "error must locate the corrupt block");
     }
 }
@@ -196,17 +204,18 @@ fn batched_submission_isolates_injected_failures_per_tensor() {
     // must decode bit-identically to the sequential reference
     // regardless of their neighbours.
     let (meta, t) = test_meta();
+    let sc = meta.calibration_scale();
     let good: Vec<Block64> = t
         .groups(128)
         .take(8)
-        .map(|g| encode_group(g, &meta, PatternSelector::MseOptimal).0)
+        .map(|g| encode_group(g, &meta, sc, PatternSelector::MseOptimal).0)
         .collect();
 
     // Truncated: valid header, no symbol data (decodes, zero-filled).
     let mut w = BitWriter::new();
-    w.write_bits(0, meta.id_hf_bits);
+    w.write_bits(0, meta.id_hf_bits());
     w.write_bits(0x38, 8); // SF = 1.0 in FP8
-    meta.pattern_code.encode_symbol(&mut w, 0);
+    meta.pattern_code().encode_symbol(&mut w, 0);
     let truncated = Block64::from_writer(w).unwrap();
     let mut with_truncated = good.clone();
     with_truncated[4] = truncated;
@@ -214,21 +223,21 @@ fn batched_submission_isolates_injected_failures_per_tensor() {
     // Garbage that fails header parse (all-ones SF decodes to NaN).
     let mut with_garbage = good.clone();
     with_garbage[2] = Block64::from_bytes([0xFF; 64]);
-    let want_err = decode_group(&with_garbage[2], &meta).unwrap_err();
+    let want_err = decode_group(&with_garbage[2], &meta, sc).unwrap_err();
 
     let reference: Vec<f32> = good
         .iter()
-        .flat_map(|b| decode_group(b, &meta).unwrap().0)
+        .flat_map(|b| decode_group(b, &meta, sc).unwrap().0)
         .collect();
     let truncated_reference: Vec<f32> = with_truncated
         .iter()
-        .flat_map(|b| decode_group(b, &meta).unwrap().0)
+        .flat_map(|b| decode_group(b, &meta, sc).unwrap().0)
         .collect();
 
     let results = decode_tensors_batch_with(
         &[&good, &with_garbage, &with_truncated, &good],
-        meta.group_size,
-        |_, b, out| decode_group_into(b, &meta, out).map(|_| ()),
+        meta.group_size(),
+        |_, b, out| decode_group_into(b, &meta, sc, out).map(|_| ()),
     );
     assert_eq!(results[0].as_ref().unwrap(), &reference);
     let got = results[1].as_ref().unwrap_err();
@@ -251,8 +260,9 @@ fn multi_bit_corruption_never_panics_and_decoders_agree() {
     // flips scattered across one block, driven through both the
     // sequential and parallel decoders. Never a panic, always agreement.
     let (meta, t) = test_meta();
+    let sc = meta.calibration_scale();
     let g = t.groups(128).next().unwrap();
-    let (block, _) = encode_group(g, &meta, PatternSelector::MseOptimal);
+    let (block, _) = encode_group(g, &meta, sc, PatternSelector::MseOptimal);
     let mut state = 0xC0FFEE42u64;
     let mut rng = move || {
         state = state
@@ -269,8 +279,8 @@ fn multi_bit_corruption_never_panics_and_decoders_agree() {
         }
         let corrupted = Block64::from_bytes(bytes);
         match (
-            decode_group(&corrupted, &meta),
-            decode_block_parallel(&corrupted, &meta),
+            decode_group(&corrupted, &meta, sc),
+            decode_block_parallel(&corrupted, &meta, sc),
         ) {
             (Ok((a, _)), Ok((b, _))) => {
                 assert_eq!(a.len(), 128);
@@ -289,10 +299,11 @@ fn cross_block_corruption_is_located_at_the_right_block() {
     // pipeline must report the FIRST corrupt block's index, while the
     // salvage report names every one of them.
     let (meta, t) = test_meta();
+    let sc = meta.calibration_scale();
     let good: Vec<Block64> = t
         .groups(128)
         .take(12)
-        .map(|g| encode_group(g, &meta, PatternSelector::MseOptimal).0)
+        .map(|g| encode_group(g, &meta, sc, PatternSelector::MseOptimal).0)
         .collect();
 
     // Find blocks that reliably fail header parse when NaN-scaled.
@@ -308,27 +319,27 @@ fn cross_block_corruption_is_located_at_the_right_block() {
     let mut corrupted = good.clone();
     for &i in &[3usize, 7, 9] {
         corrupted[i] = make_bad(&corrupted[i]);
-        assert!(decode_group(&corrupted[i], &meta).is_err());
+        assert!(decode_group(&corrupted[i], &meta, sc).is_err());
     }
 
     // Fail-fast pipeline: first corrupt block in block order.
-    let err = decode_groups_parallel(&corrupted, &meta).unwrap_err();
+    let err = decode_groups_parallel(&corrupted, &meta, sc).unwrap_err();
     assert_eq!(err.block, Some(3), "first corrupt block is index 3");
     assert_eq!(
         err.kind,
-        decode_group(&corrupted[3], &meta).unwrap_err().kind
+        decode_group(&corrupted[3], &meta, sc).unwrap_err().kind
     );
 
     // Salvage report: all three named, in block order, others intact.
     let report = decode_tensors_batch_report_with(
         &[&corrupted, &good],
-        meta.group_size,
+        meta.group_size(),
         RecoveryPolicy::SalvageBlocks,
-        |_, b, out| decode_group_into(b, &meta, out).map(|_| ()),
+        |_, b, out| decode_group_into(b, &meta, sc, out).map(|_| ()),
     );
     let healthy: Vec<f32> = good
         .iter()
-        .flat_map(|b| decode_group(b, &meta).unwrap().0)
+        .flat_map(|b| decode_group(b, &meta, sc).unwrap().0)
         .collect();
     assert_eq!(report[1].values().unwrap(), &healthy);
     match &report[0] {
@@ -336,13 +347,13 @@ fn cross_block_corruption_is_located_at_the_right_block() {
             let located: Vec<Option<usize>> = bad_blocks.iter().map(|e| e.block).collect();
             assert_eq!(located, vec![Some(3), Some(7), Some(9)]);
             assert!(bad_blocks.iter().all(|e| e.tensor == Some(0)));
-            let gs = meta.group_size;
+            let gs = meta.group_size();
             for (i, b) in good.iter().enumerate() {
                 let got = &values[i * gs..(i + 1) * gs];
                 if [3, 7, 9].contains(&i) {
                     assert!(got.iter().all(|&v| v == 0.0), "block {i} must be zeroed");
                 } else {
-                    assert_eq!(got, &decode_group(b, &meta).unwrap().0, "block {i}");
+                    assert_eq!(got, &decode_group(b, &meta, sc).unwrap().0, "block {i}");
                 }
             }
         }

@@ -25,7 +25,9 @@
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
-use ecco::bits::{set_window_dispatch, window_dispatch, Block64, WindowDispatch, BLOCK_BYTES};
+use ecco::bits::{
+    set_window_dispatch, window_dispatch, BitWriter, Block64, WindowDispatch, BLOCK_BYTES,
+};
 use ecco::codec::block::{
     decode_group, decode_group_into, decode_group_two_pass, parse_block_header, DecodeError,
     DecodeErrorKind,
@@ -35,9 +37,13 @@ use ecco::codec::parallel::{decode_tensors_batch_with, RecoveryPolicy};
 use ecco::codec::wire::{
     decode_metadata, decode_tensor, encode_metadata, encode_tensor, METADATA_MAGIC,
 };
-use ecco::codec::{BatchOutcome, CompressedTensor, EccoConfig, TensorMetadata, WeightCodec};
+use ecco::codec::{
+    BatchOutcome, CompressedTensor, EccoConfig, TensorMetadata, WeightCodec, NUM_CENTROIDS,
+};
 use ecco::container::{crc32, encode_model, Container, ContainerError, FOOTER_BYTES};
+use ecco::entropy::Codebook;
 use ecco::hw::{decode_block_parallel, paradec::seed_port};
+use ecco::numerics::Po2Scale;
 use ecco::prelude::*;
 use proptest::prelude::*;
 
@@ -76,7 +82,7 @@ fn fixture() -> &'static Fixture {
         let codec = WeightCodec::calibrate(&[&t], &cfg);
         let (ct, _) = codec.compress(&t);
         let (ct2, _) = codec.compress(&t2);
-        let meta = codec.metadata().with_scale(ct.tensor_scale());
+        let meta = codec.metadata().clone();
         let meta_bytes = encode_metadata(&meta);
         let frame_bytes = encode_tensor(&ct);
         let image = encode_model(codec.metadata(), &[(T0, &ct), (T1, &ct2)]);
@@ -132,10 +138,14 @@ fn decode_err(e: ContainerError) -> DecodeError {
 }
 
 /// Decodes a block stream sequentially, returning per-block outcomes.
-fn decode_seq(blocks: &[Block64], meta: &TensorMetadata) -> Vec<Result<Vec<f32>, DecodeError>> {
+fn decode_seq(
+    blocks: &[Block64],
+    meta: &TensorMetadata,
+    scale: Po2Scale,
+) -> Vec<Result<Vec<f32>, DecodeError>> {
     blocks
         .iter()
-        .map(|b| decode_group(b, meta).map(|(v, _)| v))
+        .map(|b| decode_group(b, meta, scale).map(|(v, _)| v))
         .collect()
 }
 
@@ -153,11 +163,12 @@ fn decode_seq(blocks: &[Block64], meta: &TensorMetadata) -> Vec<Result<Vec<f32>,
 fn assert_arms_agree(
     blocks: &[Block64],
     meta: &TensorMetadata,
+    scale: Po2Scale,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let seq = decode_seq(blocks, meta);
+    let seq = decode_seq(blocks, meta, scale);
     let host_tier = window_dispatch();
     for (i, (fused, b)) in seq.iter().zip(blocks).enumerate() {
-        match (fused, decode_group_two_pass(b, meta)) {
+        match (fused, decode_group_two_pass(b, meta, scale)) {
             (Ok(f), Ok((t, _))) => {
                 prop_assert_eq!(bits(f), bits(&t), "block {} fused != two-pass", i)
             }
@@ -175,14 +186,14 @@ fn assert_arms_agree(
         }
         for tier in [host_tier, WindowDispatch::Portable] {
             set_window_dispatch(tier);
-            let hw = decode_block_parallel(b, meta);
+            let hw = decode_block_parallel(b, meta, scale);
             set_window_dispatch(host_tier);
             match (fused, hw) {
                 (Ok(f), Ok((h, trace))) => {
                     prop_assert_eq!(bits(f), bits(&h), "block {} hw != fused ({:?})", i, tier);
                     let header = parse_block_header(b, meta).expect("block decoded");
-                    let book = &meta.books[header.kp][header.book_id];
-                    let oracle = seed_port::decode(book, b, header.data_start, meta.group_size);
+                    let book = &meta.books()[header.kp][header.book_id];
+                    let oracle = seed_port::decode(book, b, header.data_start, meta.group_size());
                     prop_assert_eq!(
                         &trace.symbols,
                         &oracle.symbols,
@@ -210,10 +221,10 @@ fn assert_arms_agree(
     for threads in [1usize, 4] {
         let pool = PoolBuilder::new().threads(threads).build();
         let (pooled, batched) = with_pool(&pool, || {
-            let batched = decode_tensors_batch_with(&[blocks], meta.group_size, |_, b, out| {
-                decode_group_into(b, meta, out).map(|_| ())
+            let batched = decode_tensors_batch_with(&[blocks], meta.group_size(), |_, b, out| {
+                decode_group_into(b, meta, scale, out).map(|_| ())
             });
-            (decode_groups_parallel(blocks, meta), batched)
+            (decode_groups_parallel(blocks, meta, scale), batched)
         });
         for (arm, got) in [("pooled", pooled), ("batched", batched[0].clone())] {
             match (&first_err, got) {
@@ -288,7 +299,7 @@ proptest! {
         // Aim the flips at one structural region: the fixed header, the
         // pattern centroids, or the codebook tables — structure-aware
         // mutation reaches the deep validators plain random bytes miss.
-        let patterns_end = 19 + fix.meta.patterns.len() * 15 * 4;
+        let patterns_end = 19 + fix.meta.num_patterns() * 15 * 4;
         let (lo, hi) = match region {
             0 => (0usize, 19usize),
             1 => (19, patterns_end),
@@ -315,7 +326,7 @@ proptest! {
                 // identical located errors — e.g. a mutated but sorted
                 // centroid table decodes different values; both arms
                 // must produce the *same* different values).
-                assert_arms_agree(fix.ct.blocks(), &revived)?;
+                assert_arms_agree(fix.ct.blocks(), &revived, fix.ct.tensor_scale())?;
             }
         }
     }
@@ -385,12 +396,13 @@ proptest! {
             let (a, b) = (swap.0 % blocks.len(), swap.1 % blocks.len());
             blocks.swap(a, b);
         }
-        assert_arms_agree(&blocks, &fix.meta)?;
+        let scale = fix.ct.tensor_scale();
+        assert_arms_agree(&blocks, &fix.meta, scale)?;
 
         // The per-block salvage report agrees with the sequential scan:
         // zero-filled groups exactly where decode_group fails, located
         // errors naming those blocks.
-        let seq = decode_seq(&blocks, &fix.meta);
+        let seq = decode_seq(&blocks, &fix.meta, scale);
         let bad: Vec<usize> = seq
             .iter()
             .enumerate()
@@ -400,7 +412,7 @@ proptest! {
         let report = fix
             .codec
             .decompress_batch_report(&[&mutated], RecoveryPolicy::SalvageBlocks);
-        let gs = fix.meta.group_size;
+        let gs = fix.meta.group_size();
         match &report[0] {
             BatchOutcome::Ok(values) => {
                 prop_assert!(bad.is_empty(), "healthy report for corrupt stream");
@@ -627,56 +639,95 @@ fn metadata_length_field_lies_are_typed() {
     }
 }
 
+/// Serializes one codebook exactly as an `ECCM` snapshot carries it:
+/// `u32 N | N x u8 lengths | N x u16 codes | u8 max_len`.
+fn book_bytes(book: &Codebook) -> Vec<u8> {
+    let mut out = (book.num_symbols() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(book.lengths());
+    for &c in book.codes() {
+        out.extend_from_slice(&c.to_le_bytes());
+    }
+    out.push(book.max_len());
+    out
+}
+
+/// A crafted block: the `ID_HF` field set to `book_id`, a finite scale
+/// factor, `kp` coded under `meta`'s pattern code, and zero data bits.
+fn crafted_block(meta: &TensorMetadata, book_id: u64, kp: u16) -> Block64 {
+    let mut w = BitWriter::new();
+    w.write_bits(book_id, meta.id_hf_bits());
+    w.write_bits(0x38, 8);
+    meta.pattern_code().encode_symbol(&mut w, kp);
+    Block64::from_writer(w).expect("header fits a block")
+}
+
 /// The taxonomy audit: every [`DecodeErrorKind`] variant is reachable
-/// from a real ingest path. Enumerates [`DecodeErrorKind::ALL`] so adding
-/// a variant without a covering corruption fails this test.
+/// from a real ingest path — crafted `ECCM`/`ECCT` bytes, crafted blocks,
+/// container images and the batch driver. Enumerates
+/// [`DecodeErrorKind::ALL`] so adding a variant without a covering
+/// corruption fails this test.
 #[test]
 fn every_decode_error_kind_is_reachable_from_ingest() {
     let fix = fixture();
     let meta = &fix.meta;
+    let scale = fix.ct.tensor_scale();
     let block0 = fix.ct.blocks()[0];
     let mut reached: BTreeSet<DecodeErrorKind> = BTreeSet::new();
     let mut reach = |e: DecodeError| {
         reached.insert(e.kind);
     };
+    let code_len = book_bytes(meta.pattern_code()).len();
+    let tables_end = fix.meta_bytes.len() - code_len;
 
-    // BadPatternId: a metadata set with no patterns makes every decoded
-    // pattern id out of range.
-    let mut no_patterns = meta.clone();
-    no_patterns.patterns.clear();
-    reach(decode_group(&block0, &no_patterns).unwrap_err());
+    // BadPatternId: a snapshot whose pattern code has a symbol beyond the
+    // S patterns — legal at ingest (the code names every pattern) — and
+    // a block whose ID_KP names that extra symbol.
+    let s = meta.num_patterns();
+    let wide_code = Codebook::from_frequencies(&vec![1; s + 1], 1, 15).unwrap();
+    let mut bytes = fix.meta_bytes[..tables_end].to_vec();
+    bytes.extend(book_bytes(&wide_code));
+    let wide = decode_metadata(&bytes).expect("a wider pattern code is legal");
+    reach(decode_group(&crafted_block(&wide, 0, s as u16), &wide, scale).unwrap_err());
 
-    // BadBookId: force ID_HF to 1 against rows truncated to one book.
-    let mut one_book = meta.clone();
-    for row in &mut one_book.books {
-        row.truncate(1);
+    // BadBookId: a snapshot with H = 3 books per pattern and a 2-bit
+    // ID_HF, and a block whose ID_HF names book 3.
+    let h = meta.books_per_pattern();
+    let mut bytes = fix.meta_bytes[..19].to_vec();
+    bytes[7..11].copy_from_slice(&2u32.to_le_bytes());
+    let centroids_end = 19 + s * NUM_CENTROIDS * 4;
+    bytes.extend_from_slice(&fix.meta_bytes[19..centroids_end]);
+    bytes.extend_from_slice(&3u32.to_le_bytes());
+    for row in meta.books() {
+        for book in [&row[0], &row[h - 1], &row[0]] {
+            bytes.extend(book_bytes(book));
+        }
     }
-    let mut bytes = *block0.as_bytes();
-    set_bits(&mut bytes, 0, meta.id_hf_bits as usize, 1);
-    reach(decode_group(&Block64::from_bytes(bytes), &one_book).unwrap_err());
+    bytes.extend(book_bytes(meta.pattern_code()));
+    let three = decode_metadata(&bytes).expect("H = 3 under a 2-bit ID_HF is legal");
+    assert_eq!(three.books_per_pattern(), 3);
+    reach(decode_group(&crafted_block(&three, 3, 0), &three, scale).unwrap_err());
 
     // BadScaleFactor: overwrite the SF field with the FP8 E4M3 NaN.
     let mut bytes = *block0.as_bytes();
-    set_bits(&mut bytes, meta.id_hf_bits as usize, 8, 0x7F);
-    reach(decode_group(&Block64::from_bytes(bytes), meta).unwrap_err());
+    set_bits(&mut bytes, meta.id_hf_bits() as usize, 8, 0x7F);
+    reach(decode_group(&Block64::from_bytes(bytes), meta, scale).unwrap_err());
 
-    // CorruptMetadata: a block naming a pattern with no codebook row —
-    // and, on the wire, a flipped magic.
-    let mut no_books = meta.clone();
-    no_books.books.clear();
-    reach(decode_group(&block0, &no_books).unwrap_err());
+    // CorruptMetadata: a pattern code too small to name every pattern,
+    // and a flipped magic.
+    let narrow_code = Codebook::from_frequencies(&vec![1; s - 1], 1, 15).unwrap();
+    let mut bytes = fix.meta_bytes[..tables_end].to_vec();
+    bytes.extend(book_bytes(&narrow_code));
+    reach(decode_metadata(&bytes).unwrap_err());
     let mut bad_magic = fix.meta_bytes.clone();
     bad_magic[0] ^= 0xFF;
     assert!(!bad_magic.starts_with(&METADATA_MAGIC));
     reach(decode_metadata(&bad_magic).unwrap_err());
 
-    // CorruptCodebook: splice a Kraft-violating revived book into the
-    // slot this block selects.
-    let header = parse_block_header(&block0, meta).expect("fixture block is healthy");
-    let mut bad_book = meta.clone();
-    bad_book.books[header.kp][header.book_id] =
-        ecco::entropy::huffman::Codebook::from_serialized_parts(vec![0; 16], vec![0; 16], 8);
-    reach(decode_group(&block0, &bad_book).unwrap_err());
+    // CorruptCodebook: a Kraft-violating data book in the snapshot.
+    let mut bytes = fix.meta_bytes.clone();
+    let lengths0 = centroids_end + 4 + 4;
+    bytes[lengths0..lengths0 + 16].fill(1);
+    reach(decode_metadata(&bytes).unwrap_err());
 
     // TruncatedStream: a tensor whose block stream ends a block early.
     let frame = encode_tensor(&fix.ct);
@@ -704,7 +755,7 @@ fn every_decode_error_kind_is_reachable_from_ingest() {
     ));
 
     // WorkerPanic: a panicking decode closure in the batch driver.
-    let results = decode_tensors_batch_with(&[fix.ct.blocks()], meta.group_size, |_, _, _| {
+    let results = decode_tensors_batch_with(&[fix.ct.blocks()], meta.group_size(), |_, _, _| {
         panic!("injected ingest panic")
     });
     reach(*results[0].as_ref().unwrap_err());

@@ -6,15 +6,16 @@
 //! gathered `SegmentLut` probes) is exercised on every tier-1 run — on
 //! both dispatch arms — not just by the workspace CI run.
 
-use ecco::bits::{set_window_dispatch, window_dispatch, Block64, WindowDispatch};
-use ecco::codec::DecodeError;
+use ecco::bits::{set_window_dispatch, window_dispatch, WindowDispatch};
+use ecco::codec::{wire, CompressedTensor, DecodeError};
 use ecco::prelude::*;
 
-/// Decodes a block stream block by block through the hardware oracle.
-fn hw_decode(blocks: &[Block64], meta: &TensorMetadata) -> Result<Vec<f32>, DecodeError> {
-    let mut out = Vec::with_capacity(blocks.len() * meta.group_size);
-    for b in blocks {
-        out.extend(ecco::hw::decode_block_parallel(b, meta)?.0);
+/// Decodes a compressed tensor block by block through the hardware
+/// oracle.
+fn hw_decode(ct: &CompressedTensor, meta: &TensorMetadata) -> Result<Vec<f32>, DecodeError> {
+    let mut out = Vec::with_capacity(ct.blocks().len() * meta.group_size());
+    for b in ct.blocks() {
+        out.extend(ecco::hw::decode_block_parallel(b, meta, ct.tensor_scale())?.0);
     }
     Ok(out)
 }
@@ -39,11 +40,11 @@ fn weight_roundtrip_through_parallel_codec_and_batched_decoder() {
     // The hardware model's batched window-extraction front end must
     // reconstruct the identical values — through the host's dispatch
     // tier (SIMD where supported) and through the forced-scalar arm.
-    let meta = codec.metadata().with_scale(ct.tensor_scale());
+    let meta = codec.metadata();
     let host_tier = window_dispatch();
-    let hw_batched = hw_decode(ct.blocks(), &meta).unwrap();
+    let hw_batched = hw_decode(&ct, meta).unwrap();
     set_window_dispatch(WindowDispatch::Portable);
-    let hw_scalar = hw_decode(ct.blocks(), &meta);
+    let hw_scalar = hw_decode(&ct, meta);
     set_window_dispatch(host_tier);
     assert_eq!(hw_batched, out.data(), "batched hw decode diverged");
     assert_eq!(
@@ -55,11 +56,10 @@ fn weight_roundtrip_through_parallel_codec_and_batched_decoder() {
 
 #[test]
 fn revived_metadata_decodes_through_batched_pipeline() {
-    // Serde-style revival: rebuild_tables leaves every derived cache
-    // (codebook decode LUTs, SegmentLuts, length/boundary tables) in the
-    // empty state deserialization produces; both the pooled production
-    // decode and the hardware oracle must self-heal them on first use
-    // and stay bit-identical.
+    // Tables revived from an ECCM snapshot are the calibrated tables:
+    // every field matches, and blocks decode bit-identically through the
+    // pooled production decoder and the hardware oracle, and encode
+    // bit-identically too.
     let t = SynthSpec::for_kind(TensorKind::KCache, 8, 512)
         .seeded(4002)
         .generate();
@@ -67,13 +67,34 @@ fn revived_metadata_decodes_through_batched_pipeline() {
     let (ct, _) = codec.compress_parallel(&t);
     let out = codec.decompress_parallel(&ct);
 
-    let mut revived = codec.metadata().with_scale(ct.tensor_scale());
-    revived.rebuild_tables();
-    let vals = ecco::codec::decode_groups_parallel(ct.blocks(), &revived)
-        .expect("revived metadata must decode without a warm-up call");
+    let meta = codec.metadata();
+    let revived = wire::decode_metadata(&wire::encode_metadata(meta)).expect("snapshot revives");
+    assert_eq!(revived.calibration_scale(), meta.calibration_scale());
+    assert_eq!(revived.patterns(), meta.patterns());
+    assert_eq!(revived.boundaries(), meta.boundaries());
+    assert_eq!(revived.id_hf_bits(), meta.id_hf_bits());
+    assert_eq!(revived.group_size(), meta.group_size());
+    assert_eq!(revived.pattern_code().codes(), meta.pattern_code().codes());
+    for (a, b) in revived
+        .books()
+        .iter()
+        .flatten()
+        .zip(meta.books().iter().flatten())
+    {
+        assert_eq!(a.lengths(), b.lengths());
+        assert_eq!(a.codes(), b.codes());
+        assert_eq!(a.max_len(), b.max_len());
+    }
+
+    let vals = ecco::codec::decode_groups_parallel(ct.blocks(), &revived, ct.tensor_scale())
+        .expect("revived metadata decodes");
     assert_eq!(vals, out.data());
-    // The production decode never builds the oracle's SegmentLuts, so
-    // they are still in their revived (empty) state here.
-    let hw_vals = hw_decode(ct.blocks(), &revived).expect("revived metadata decodes on the oracle");
+    let hw_vals = hw_decode(&ct, &revived).expect("revived metadata decodes on the oracle");
     assert_eq!(hw_vals, out.data());
+    let (re_ct, _) = WeightCodec::from_metadata(revived).compress_parallel(&t);
+    assert_eq!(
+        re_ct.blocks(),
+        ct.blocks(),
+        "revived tables encode differently"
+    );
 }

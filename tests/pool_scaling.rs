@@ -54,14 +54,11 @@ fn pool_scaling_bit_identical_and_batch_equals_loop() {
 
             // The hardware oracle, driven as the decode closure of core's
             // batched submission, reconstructs the identical values.
-            let metas: Vec<TensorMetadata> = batch
-                .iter()
-                .map(|(ct, _)| codec.metadata().with_scale(ct.tensor_scale()))
-                .collect();
             let blocks: Vec<&[Block64]> = batch.iter().map(|(ct, _)| ct.blocks()).collect();
-            let gs = codec.metadata().group_size;
+            let gs = codec.metadata().group_size();
             let hw = decode_tensors_batch_with(&blocks, gs, |ti, b, out| {
-                out.extend(ecco::hw::decode_block_parallel(b, &metas[ti])?.0);
+                let scale = batch[ti].0.tensor_scale();
+                out.extend(ecco::hw::decode_block_parallel(b, codec.metadata(), scale)?.0);
                 Ok(())
             });
             for (r, out) in hw.into_iter().zip(&decompressed) {
@@ -175,20 +172,23 @@ fn worker_panic_poisons_only_its_batch_and_pool_survives() {
             .generate();
         let codec = WeightCodec::calibrate(&[&t], &EccoConfig::default());
         let (ct, _) = codec.compress_parallel(&t);
-        let meta = codec.metadata().with_scale(ct.tensor_scale());
+        let meta = codec.metadata();
         let seq = codec.decompress(&ct);
 
         // Inject a panic through the batch driver's decode closure.
         let blocks = ct.blocks();
-        let results =
-            decode_tensors_batch_with(&[blocks, blocks, blocks], meta.group_size, |ti, b, out| {
+        let results = decode_tensors_batch_with(
+            &[blocks, blocks, blocks],
+            meta.group_size(),
+            |ti, b, out| {
                 if ti == 1 {
                     panic!("injected decode panic");
                 }
-                let (v, _) = ecco::codec::decode_group(b, &meta)?;
+                let (v, _) = ecco::codec::decode_group(b, meta, ct.tensor_scale())?;
                 out.extend_from_slice(&v);
                 Ok(())
-            });
+            },
+        );
         assert_eq!(results[0].as_ref().unwrap(), seq.data());
         let e = results[1].as_ref().unwrap_err();
         assert_eq!(e.kind, DecodeErrorKind::WorkerPanic);
